@@ -7,10 +7,8 @@
 //   BM_BatchEdge   engine-level: random stimulus lanes stepped through
 //                  full clock edges, as 64 independent scalar
 //                  NetlistSims (mode 0 = FullTape, mode 1 =
-//                  Incremental) or one BatchNetlistSim (mode 2 = K=1 /
-//                  64 lanes, mode 3 = K=4 / 256 lanes, mode 4 = K=8 /
-//                  512 lanes; the superlane rows carry K x 64 lanes per
-//                  tape instruction).  policy 0 (static_priority) is
+//                  Incremental) or one 64-lane BatchNetlistSim
+//                  (mode 2).  policy 0 (static_priority) is
 //                  the comb-dominated case -- arbitration, guards and
 //                  muxes are all bitwise, so the whole design runs on
 //                  bit-planes; policy 1 (round_robin) carries Add combs
@@ -22,14 +20,13 @@
 //                  scalar-fallback instruction counters.
 //   BM_EquivCheck  end-to-end: check_equivalence with independently
 //                  seeded lock-step lanes, scalar backend (mode 0, 64
-//                  lanes) vs batch backend (mode 1, 64 lanes at K=1;
-//                  mode 2, 512 lanes at K=8).  Includes synthesis +
+//                  lanes) vs batch backend (mode 1, 64 lanes).
+//                  Includes synthesis +
 //                  golden-model cost on both sides, so the ratio is
 //                  what a fig.4 gate or a fuzz CI budget actually sees.
 //
-// Modes 5/6/7 of the edge benchmarks (and 3/4 of BM_EquivCheck) run
-// the same superlane widths through the native tape JIT
-// (hlcs/synth/jit.hpp).  The JIT-backed sim is constructed OUTSIDE the
+// Mode 5 of the edge benchmarks (and mode 3 of BM_EquivCheck) runs the
+// batch engine through the native tape JIT (hlcs/synth/jit.hpp).  The JIT-backed sim is constructed OUTSIDE the
 // timed loop, so compilation never pollutes the steady-state medians;
 // compile time is priced separately by BM_JitCompile and echoed on
 // every JIT row as the jit_compile_ns / jit_code_bytes counters.
@@ -73,18 +70,11 @@ Netlist make_channel(std::size_t clients, hlcs::osss::PolicyKind policy) {
   return synthesize(make_mailbox(), opt);
 }
 
-/// Superlane factor for a benchmark mode argument: modes 2/3/4 are the
-/// batch interpreter at K = 1/4/8 (64/256/512 lanes), modes 5/6/7 the
-/// batch JIT at the same widths; modes 0/1 are scalar.
-unsigned mode_super(long mode) {
-  switch (mode) {
-    case 2: case 5: return 1u;
-    case 3: case 6: return 4u;
-    case 4: case 7: return 8u;
-    default: return 0u;
-  }
-}
-
+/// Benchmark mode arguments: 0/1 are scalar, 2 is the batch
+/// interpreter and 5 the batch JIT.  (Modes 3/4/6/7 were the retired
+/// 256- and 512-lane widths; the survivors keep their numbers so each
+/// row still meets its own baseline.)
+bool mode_batch(long mode) { return mode >= 2; }
 bool mode_jit(long mode) { return mode >= 5; }
 
 void report_batch_counters(benchmark::State& state,
@@ -105,15 +95,13 @@ void report_batch_counters(benchmark::State& state,
 }
 
 /// Dense random stimulus lanes through full clock edges.
-/// range(0): 0 = scalar FullTape, 1 = scalar Incremental, 2/3/4 = batch
-/// interpreter at K=1/4/8 (64/256/512 lanes), 5/6/7 = batch JIT at the
-/// same widths.  range(1) = clients.  range(2): 0 = static_priority,
-/// 1 = round_robin.  One iteration = lanes lane-edges on every side.
+/// range(0): 0 = scalar FullTape, 1 = scalar Incremental, 2 = batch
+/// interpreter, 5 = batch JIT.  range(1) = clients.  range(2):
+/// 0 = static_priority, 1 = round_robin.  One iteration = 64
+/// lane-edges on every side.
 void BM_BatchEdge(benchmark::State& state) {
-  const unsigned super = mode_super(state.range(0));
-  const bool batch = super != 0;
-  const std::size_t lanes =
-      BatchNetlistSim::kLanes * (batch ? super : 1);
+  const bool batch = mode_batch(state.range(0));
+  const std::size_t lanes = BatchNetlistSim::kLanes;
   const SettleMode scalar_mode = state.range(0) == 0
                                      ? SettleMode::FullTape
                                      : SettleMode::Incremental;
@@ -136,7 +124,7 @@ void BM_BatchEdge(benchmark::State& state) {
   if (batch) {
     // Construction (and hence JIT compilation) happens here, outside
     // the timed loop: the medians below are pure steady-state.
-    BatchNetlistSim sim(nl, super, mode_jit(state.range(0)));
+    BatchNetlistSim sim(nl, 1, mode_jit(state.range(0)));
     for (auto _ : state) {
       for (std::size_t lane = 0; lane < lanes; ++lane) {
         const std::uint64_t r = rngs[lane].next();
@@ -177,18 +165,11 @@ BENCHMARK(BM_BatchEdge)
     ->Args({0, 4, 0})
     ->Args({1, 4, 0})
     ->Args({2, 4, 0})
-    ->Args({3, 4, 0})
-    ->Args({4, 4, 0})
     ->Args({5, 4, 0})
-    ->Args({6, 4, 0})
-    ->Args({7, 4, 0})
     ->Args({0, 4, 1})
     ->Args({1, 4, 1})
     ->Args({2, 4, 1})
-    ->Args({3, 4, 1})
-    ->Args({4, 4, 1})
-    ->Args({5, 4, 1})
-    ->Args({7, 4, 1});
+    ->Args({5, 4, 1});
 
 /// A lowered property-monitor automaton: the temporal operators expand
 /// to 1-bit state machines, so nearly every net is one plane wide and
@@ -211,13 +192,11 @@ hlcs::check::Spec monitor_spec() {
 }
 
 /// Random stimulus lanes through a lowered monitor netlist.
-/// range(0): 0 = scalar FullTape, 1 = scalar Incremental, 2/3/4 = batch
-/// interpreter at K=1/4/8 (64/256/512 lanes), 5/6/7 = batch JIT.
+/// range(0): 0 = scalar FullTape, 1 = scalar Incremental, 2 = batch
+/// interpreter, 5 = batch JIT.
 void BM_BatchMonitorEdge(benchmark::State& state) {
-  const unsigned super = mode_super(state.range(0));
-  const bool batch = super != 0;
-  const std::size_t lanes =
-      BatchNetlistSim::kLanes * (batch ? super : 1);
+  const bool batch = mode_batch(state.range(0));
+  const std::size_t lanes = BatchNetlistSim::kLanes;
   const SettleMode scalar_mode = state.range(0) == 0
                                      ? SettleMode::FullTape
                                      : SettleMode::Incremental;
@@ -236,7 +215,7 @@ void BM_BatchMonitorEdge(benchmark::State& state) {
   }
 
   if (batch) {
-    BatchNetlistSim sim(nl, super, mode_jit(state.range(0)));
+    BatchNetlistSim sim(nl, 1, mode_jit(state.range(0)));
     sim.set_input_broadcast(rst, 0);
     for (auto _ : state) {
       for (std::size_t lane = 0; lane < lanes; ++lane) {
@@ -272,7 +251,7 @@ void BM_BatchMonitorEdge(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchMonitorEdge)
     ->ArgName("mode")
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(6)->Arg(7);
+    ->Arg(0)->Arg(1)->Arg(2)->Arg(5);
 
 /// The evaluation engine alone, interleaved A/B: stimulus is driven
 /// once, then every iteration is one full clock edge (full-tape batch
@@ -280,15 +259,13 @@ BENCHMARK(BM_BatchMonitorEdge)
 /// state vector live).  BM_BatchEdge above prices a replay workload
 /// where per-lane stimulus scatter dominates; this row prices what the
 /// JIT actually replaces, so it is the honest interpreter-vs-native
-/// ratio.  range(0): 2/3/4 = batch interpreter at K=1/4/8, 5/6/7 =
-/// batch JIT at the same widths.
+/// ratio.  range(0): 2 = batch interpreter, 5 = batch JIT.
 void BM_JitEdge(benchmark::State& state) {
-  const unsigned super = mode_super(state.range(0));
   Netlist nl = make_channel(4, hlcs::osss::PolicyKind::StaticPriority);
-  BatchNetlistSim sim(nl, super, mode_jit(state.range(0)));
+  BatchNetlistSim sim(nl, 1, mode_jit(state.range(0)));
   hlcs::sim::Xorshift rng(0x1D6E);
   for (NetId in : nl.inputs()) {
-    for (std::size_t lane = 0; lane < sim.lanes(); ++lane) {
+    for (std::size_t lane = 0; lane < BatchNetlistSim::kLanes; ++lane) {
       sim.set_input(in, lane, rng.next());
     }
   }
@@ -297,28 +274,26 @@ void BM_JitEdge(benchmark::State& state) {
   }
   report_batch_counters(state, sim);
   const double lane_edges = static_cast<double>(state.iterations()) *
-                            static_cast<double>(sim.lanes());
+                            static_cast<double>(BatchNetlistSim::kLanes);
   state.SetItemsProcessed(static_cast<std::int64_t>(lane_edges));
   state.counters["lane_edges/s"] =
       benchmark::Counter(lane_edges, benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_JitEdge)
-    ->ArgName("mode")->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(6)->Arg(7);
+BENCHMARK(BM_JitEdge)->ArgName("mode")->Arg(2)->Arg(5);
 
 /// Same engine-only A/B over the lowered property-monitor automaton:
 /// nearly every net is one bit wide, so this is the densest plane
 /// layout and the shape the batched lock-step checks drive.
 void BM_JitMonitorEdge(benchmark::State& state) {
-  const unsigned super = mode_super(state.range(0));
   const hlcs::check::Automaton a = hlcs::check::compile(monitor_spec());
   Netlist nl = hlcs::check::lower(a);
-  BatchNetlistSim sim(nl, super, mode_jit(state.range(0)));
+  BatchNetlistSim sim(nl, 1, mode_jit(state.range(0)));
   sim.set_input_broadcast(nl.find("rst"), 0);
   hlcs::sim::Xorshift rng(0x6D17);
   for (const hlcs::check::SignalDecl& sd : a.signals) {
     const NetId n = nl.find(sd.name);
     const std::uint64_t mask = hlcs::synth::ExprArena::mask(sd.width);
-    for (std::size_t lane = 0; lane < sim.lanes(); ++lane) {
+    for (std::size_t lane = 0; lane < BatchNetlistSim::kLanes; ++lane) {
       sim.set_input(n, lane, rng.next() & mask);
     }
   }
@@ -327,28 +302,27 @@ void BM_JitMonitorEdge(benchmark::State& state) {
   }
   report_batch_counters(state, sim);
   const double lane_edges = static_cast<double>(state.iterations()) *
-                            static_cast<double>(sim.lanes());
+                            static_cast<double>(BatchNetlistSim::kLanes);
   state.SetItemsProcessed(static_cast<std::int64_t>(lane_edges));
   state.counters["lane_edges/s"] =
       benchmark::Counter(lane_edges, benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_JitMonitorEdge)
-    ->ArgName("mode")->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(6)->Arg(7);
+BENCHMARK(BM_JitMonitorEdge)->ArgName("mode")->Arg(2)->Arg(5);
 
 /// JIT compilation priced as its own metric: one iteration = compile
 /// the mailbox channel's tape to native code (scalar TapeJit at
-/// range(0) == 0, superlane BatchJit at K = range(0) otherwise) and
-/// throw it away.  This is the cost the edge benchmarks above pay once
-/// outside their timed loops.
+/// range(0) == 0, 64-lane BatchJit at range(0) == 1) and throw it away.
+/// This is the cost the edge benchmarks above pay once outside their
+/// timed loops.
 void BM_JitCompile(benchmark::State& state) {
-  const unsigned super = static_cast<unsigned>(state.range(0));
+  const bool batch = state.range(0) == 1;
   Netlist nl = make_channel(4, hlcs::osss::PolicyKind::StaticPriority);
   if (!TapeJit::host_supported()) {
     state.SkipWithError("JIT unavailable on this host");
     return;
   }
   double code_bytes = 0, native = 0;
-  if (super == 0) {
+  if (!batch) {
     const TapeProgram tape = TapeProgram::compile(nl);
     for (auto _ : state) {
       TapeJit jit(tape);
@@ -357,7 +331,7 @@ void BM_JitCompile(benchmark::State& state) {
       native = static_cast<double>(jit.stats().combs_native);
     }
   } else {
-    BatchTape bt(nl, super);
+    BatchTape bt(nl);
     for (auto _ : state) {
       BatchJit jit(bt);
       benchmark::DoNotOptimize(jit.available());
@@ -368,20 +342,17 @@ void BM_JitCompile(benchmark::State& state) {
   state.counters["jit_code_bytes"] = code_bytes;
   state.counters["jit_native_combs"] = native;
 }
-BENCHMARK(BM_JitCompile)->ArgName("K")->Arg(0)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_JitCompile)->ArgName("K")->Arg(0)->Arg(1);
 
 /// End-to-end lock-step equivalence: independently seeded stimulus
-/// lanes against the golden interpreter.  range(0): 0 = scalar backend
-/// (64 lanes, one at a time), 1 = batch backend (64 lanes at K=1),
-/// 2 = batch backend (512 lanes at K=8, one superlane block); 3 and 4
-/// repeat modes 1 and 2 through the native JIT (which recompiles every
-/// invocation, like a fresh CI run would).
+/// lanes against the golden interpreter, 64 lanes.  range(0): 0 =
+/// scalar backend (one lane at a time), 1 = batch backend, 3 = batch
+/// backend through the native JIT (which recompiles every invocation,
+/// like a fresh CI run would).
 void BM_EquivCheck(benchmark::State& state) {
   const bool batch = state.range(0) >= 1;
   const bool jit = state.range(0) >= 3;
-  const unsigned super =
-      (state.range(0) == 2 || state.range(0) == 4) ? 8 : 1;
-  const std::size_t lanes = super == 8 ? 512 : 64;
+  constexpr std::size_t lanes = 64;
   const ObjectDesc d = make_mailbox();
   SynthOptions opt;
   opt.clients = 4;
@@ -392,8 +363,7 @@ void BM_EquivCheck(benchmark::State& state) {
     const EquivResult r = check_equivalence(
         d, opt,
         EquivOptions{.cycles = kCycles, .seed = seed++, .reset_percent = 4,
-                     .lanes = lanes, .batch = batch, .superlanes = super,
-                     .jit = jit});
+                     .lanes = lanes, .batch = batch, .jit = jit});
     if (!r.equal) {
       state.SkipWithError("equivalence mismatch");
       return;
@@ -407,7 +377,7 @@ void BM_EquivCheck(benchmark::State& state) {
       benchmark::Counter(lane_cycles, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_EquivCheck)
-    ->ArgName("mode")->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
+    ->ArgName("mode")->Arg(0)->Arg(1)->Arg(3);
 
 }  // namespace
 

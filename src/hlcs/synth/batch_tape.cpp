@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "hlcs/sim/assert.hpp"
-#include "hlcs/sim/sweep.hpp"
 
 // Direct-threaded dispatch needs the computed-goto extension (GCC and
 // Clang both provide it); everything else takes the portable switch.
@@ -15,14 +14,6 @@
 #endif
 
 namespace hlcs::synth {
-
-unsigned cpu_superlanes() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  if (__builtin_cpu_supports("avx512f")) return 8;
-  if (__builtin_cpu_supports("avx2")) return 4;
-#endif
-  return 1;
-}
 
 namespace {
 
@@ -79,19 +70,9 @@ BOp plain_bop(TapeOp op) {
   }
 }
 
-/// Rows at index >= width read as all-zero (values are stored masked);
-/// this shared row is the target of those reads at any K <= kMaxSuper.
-constexpr std::uint64_t kZeroRow[BatchTape::kMaxSuper] = {};
-
 }  // namespace
 
-BatchTape::BatchTape(const Netlist& nl, unsigned super)
-    : tape_(TapeProgram::compile(nl)),
-      super_(super == 0 ? cpu_superlanes() : super) {
-  if (super_ != 1 && super_ != 4 && super_ != 8) {
-    fail("batch engine: superlane factor must be 1, 4 or 8 (got " +
-         std::to_string(super_) + ")");
-  }
+BatchTape::BatchTape(const Netlist& nl) : tape_(TapeProgram::compile(nl)) {
   const auto& nets = nl.nets();
   plane_off_.reserve(nets.size() + 1);
   width_.reserve(nets.size());
@@ -135,13 +116,12 @@ BatchTape::BatchTape(const Netlist& nl, unsigned super)
   fused_total_ = fused_per_settle_;
 
   entries_.resize(tape_.max_stack());
-  stack_planes_.resize(std::size_t{tape_.max_stack()} * kLanes * super_);
-  slot_planes_.resize(std::size_t{tape_.max_slots()} * kLanes * super_);
+  stack_planes_.resize(std::size_t{tape_.max_stack()} * kLanes);
+  slot_planes_.resize(std::size_t{tape_.max_slots()} * kLanes);
   slot_w_.resize(tape_.max_slots());
   scalar_nets_.resize(nets.size());
   scalar_stack_.resize(tape_.max_stack());
   scalar_slots_.resize(tape_.max_slots());
-  scalar_res_.resize(kLanes * super_);
 }
 
 // The peephole pass, longest match first.  Every pattern is positional
@@ -215,56 +195,32 @@ std::vector<std::pair<std::string, std::uint64_t>> BatchTape::fusion_hits()
 }
 
 void BatchTape::run_all(std::uint64_t* planes, BatchStats& stats) {
-  switch (super_) {
-    case 4: run_combs<4>(planes); break;
-    case 8: run_combs<8>(planes); break;
-    default: run_combs<1>(planes); break;
-  }
+  const std::size_t ncombs = tape_.combs().size();
+  for (std::size_t ci = 0; ci < ncombs; ++ci) run_comb(ci, planes);
   // run_all always evaluates every comb, so the per-settle increments
   // are constants of the tape -- no hot-loop counters needed.
-  const std::uint64_t ncombs = tape_.combs().size();
   stats.combs_evaluated += ncombs;
   stats.combs_bit_parallel += ncombs - scalar_combs_;
   stats.combs_scalar += scalar_combs_;
-  stats.scalar_lane_evals += scalar_combs_ * lanes();
+  stats.scalar_lane_evals += scalar_combs_ * kLanes;
   stats.plane_instructions += plane_insns_per_settle_;
   stats.fused_ops += fused_per_settle_;
-  stats.scalar_ops += scalar_insns_per_lane_ * lanes();
+  stats.scalar_ops += scalar_insns_per_lane_ * kLanes;
 }
 
 void BatchTape::run_comb(std::size_t ci, std::uint64_t* planes) {
-  if (!bcombs_[ci].parallel) {
+  if (bcombs_[ci].parallel) {
+    run_planes(bcombs_[ci], tape_.combs()[ci].target, planes);
+  } else {
     run_lanes(ci, planes);
-    return;
-  }
-  const NetId target = tape_.combs()[ci].target;
-  switch (super_) {
-    case 4: run_planes<4>(bcombs_[ci], target, planes); break;
-    case 8: run_planes<8>(bcombs_[ci], target, planes); break;
-    default: run_planes<1>(bcombs_[ci], target, planes); break;
   }
 }
 
-template <unsigned K>
-void BatchTape::run_combs(std::uint64_t* planes) {
-  const auto& combs = tape_.combs();
-  for (std::size_t ci = 0; ci < combs.size(); ++ci) {
-    if (bcombs_[ci].parallel) {
-      run_planes<K>(bcombs_[ci], combs[ci].target, planes);
-    } else {
-      run_lanes(ci, planes);
-    }
-  }
-}
-
-// The evaluator.  Every value is `w` rows of K words each; each stack
-// depth owns a fixed 64-row region, so a result written at depth d never
-// aliases an operand at another depth and only strict in-place updates
-// (entry d already owning region d) need iteration-order care, noted per
-// op.  The inner `j < K` loops carry K as a compile-time constant: at
-// K=4/8 they are exactly one AVX2/AVX-512 vector op per row when the
-// build enables those ISAs, and short unrolled scalar code otherwise.
-template <unsigned K>
+// The evaluator.  Every value is `w` rows of one word each; each stack
+// depth owns a fixed 64-row region, so a result written at depth d
+// never aliases an operand at another depth and only strict in-place
+// updates (entry d already owning region d) need iteration-order care,
+// noted per op.
 void BatchTape::run_planes(const BComb& bc, NetId target,
                            std::uint64_t* planes) {
   const BatchInsn* ip = bcode_.data() + bc.begin;
@@ -274,33 +230,42 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
   std::uint64_t* const stack0 = stack_planes_.data();
   std::uint64_t* const slots0 = slot_planes_.data();
   const auto region = [stack0](std::size_t d) -> std::uint64_t* {
-    return stack0 + d * (kLanes * K);
+    return stack0 + d * kLanes;
   };
-  const auto row = [](const Entry& e, unsigned b) -> const std::uint64_t* {
-    return b < e.w ? e.p + std::size_t{b} * K : kZeroRow;
+  // Rows at index >= w read as all-zero (values are stored masked).
+  const auto row = [](const Entry& e, unsigned b) -> std::uint64_t {
+    return b < e.w ? e.p[b] : 0;
   };
   const auto net_entry = [this, planes](std::uint32_t net) -> Entry {
-    return Entry{planes + std::size_t{plane_off_[net]} * K, width_[net]};
+    return Entry{planes + plane_off_[net], width_[net]};
+  };
+  // Per-lane truthiness of a Mux selector: OR over its rows.
+  const auto truth = [](const Entry& e) {
+    std::uint64_t s = 0;
+    for (unsigned b = 0; b < e.w; ++b) s |= e.p[b];
+    return s;
   };
   // Ordered comparisons share one borrow chain: the carry out of
   // x + ~y + 1 over the full width is 1 exactly when x >= y per lane.
   const auto cmp = [&](const Entry& x, const Entry& y, bool invert,
                        std::size_t depth) -> Entry {
     const unsigned w = x.w > y.w ? x.w : y.w;
-    std::uint64_t carry[K];
-    for (unsigned j = 0; j < K; ++j) carry[j] = ~std::uint64_t{0};
+    std::uint64_t carry = ~std::uint64_t{0};
     for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* a = row(x, b);
-      const std::uint64_t* q = row(y, b);
-      for (unsigned j = 0; j < K; ++j) {
-        const std::uint64_t av = a[j];
-        const std::uint64_t qv = ~q[j];
-        carry[j] = (av & qv) | (carry[j] & (av ^ qv));
-      }
+      const std::uint64_t av = row(x, b);
+      const std::uint64_t qv = ~row(y, b);
+      carry = (av & qv) | (carry & (av ^ qv));
     }
     std::uint64_t* r = region(depth);
-    for (unsigned j = 0; j < K; ++j) r[j] = invert ? ~carry[j] : carry[j];
+    r[0] = invert ? ~carry : carry;
     return Entry{r, 1};
+  };
+  // Equality of two values as one row (1 = equal, per lane).
+  const auto eq = [&](const Entry& x, const Entry& y) {
+    const unsigned w = x.w > y.w ? x.w : y.w;
+    std::uint64_t acc = ~std::uint64_t{0};
+    for (unsigned b = 0; b < w; ++b) acc &= ~(row(x, b) ^ row(y, b));
+    return acc;
   };
 
 #if HLCS_BT_COMPUTED_GOTO
@@ -334,8 +299,7 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     std::uint64_t* r = region(n);
     const unsigned w = static_cast<unsigned>(std::bit_width(ip->imm));
     for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t v = (ip->imm >> b) & 1 ? ~std::uint64_t{0} : 0;
-      for (unsigned j = 0; j < K; ++j) r[b * K + j] = v;
+      r[b] = (ip->imm >> b) & 1 ? ~std::uint64_t{0} : 0;
     }
     st[n++] = Entry{r, w};
   }
@@ -347,17 +311,14 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
   HLCS_BT_NEXT();
 
   HLCS_BT_OP(PushSlot) {
-    st[n++] = Entry{slots0 + std::size_t{ip->aux} * (kLanes * K),
-                    slot_w_[ip->aux]};
+    st[n++] = Entry{slots0 + std::size_t{ip->aux} * kLanes, slot_w_[ip->aux]};
   }
   HLCS_BT_NEXT();
 
   HLCS_BT_OP(StoreSlot) {
     const Entry e = st[--n];
-    std::uint64_t* s = slots0 + std::size_t{ip->aux} * (kLanes * K);
-    for (unsigned b = 0; b < e.w; ++b) {
-      for (unsigned j = 0; j < K; ++j) s[b * K + j] = e.p[b * K + j];
-    }
+    std::uint64_t* s = slots0 + std::size_t{ip->aux} * kLanes;
+    for (unsigned b = 0; b < e.w; ++b) s[b] = e.p[b];
     slot_w_[ip->aux] = e.w;
   }
   HLCS_BT_NEXT();
@@ -366,10 +327,7 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     Entry& e = st[n - 1];
     std::uint64_t* r = region(n - 1);
     const unsigned w = mask_width(ip->imm);
-    for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* a = row(e, b);  // same-index: in-place safe
-      for (unsigned j = 0; j < K; ++j) r[b * K + j] = ~a[j];
-    }
+    for (unsigned b = 0; b < w; ++b) r[b] = ~row(e, b);  // in-place safe
     e = Entry{r, w};
   }
   HLCS_BT_NEXT();
@@ -379,15 +337,11 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     Entry& e = st[n - 1];
     const unsigned w = mask_width(ip->imm);
     std::uint64_t* r = region(n - 1);
-    std::uint64_t carry[K];
-    for (unsigned j = 0; j < K; ++j) carry[j] = ~std::uint64_t{0};
+    std::uint64_t carry = ~std::uint64_t{0};
     for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* a = row(e, b);
-      for (unsigned j = 0; j < K; ++j) {
-        const std::uint64_t q = ~a[j];
-        r[b * K + j] = q ^ carry[j];
-        carry[j] &= q;
-      }
+      const std::uint64_t q = ~row(e, b);
+      r[b] = q ^ carry;
+      carry &= q;
     }
     e = Entry{r, w};
   }
@@ -395,12 +349,8 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
 
   HLCS_BT_OP(RedOr) {
     Entry& e = st[n - 1];
-    std::uint64_t acc[K] = {};
-    for (unsigned b = 0; b < e.w; ++b) {
-      for (unsigned j = 0; j < K; ++j) acc[j] |= e.p[b * K + j];
-    }
     std::uint64_t* r = region(n - 1);
-    for (unsigned j = 0; j < K; ++j) r[j] = acc[j];
+    r[0] = truth(e);
     e = Entry{r, 1};
   }
   HLCS_BT_NEXT();
@@ -408,14 +358,10 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
   HLCS_BT_OP(RedAnd) {
     Entry& e = st[n - 1];
     const unsigned w = mask_width(ip->imm);  // operand width
-    std::uint64_t acc[K];
-    for (unsigned j = 0; j < K; ++j) acc[j] = ~std::uint64_t{0};
-    for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* a = row(e, b);
-      for (unsigned j = 0; j < K; ++j) acc[j] &= a[j];
-    }
+    std::uint64_t acc = ~std::uint64_t{0};
+    for (unsigned b = 0; b < w; ++b) acc &= row(e, b);
     std::uint64_t* r = region(n - 1);
-    for (unsigned j = 0; j < K; ++j) r[j] = acc[j];
+    r[0] = acc;
     e = Entry{r, 1};
   }
   HLCS_BT_NEXT();
@@ -426,31 +372,24 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     const unsigned w = mask_width(ip->imm);
     // Reads run ahead of writes (b + lsb >= b): ascending is in-place
     // safe.
-    for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* a = row(e, b + ip->aux);
-      for (unsigned j = 0; j < K; ++j) r[b * K + j] = a[j];
-    }
+    for (unsigned b = 0; b < w; ++b) r[b] = row(e, b + ip->aux);
     e = Entry{r, w};
   }
   HLCS_BT_NEXT();
 
   HLCS_BT_OP(Add) {
-    // Ripple carry over rows: one K*64-lane full adder per bit.
+    // Ripple carry over rows: one 64-lane full adder per bit.
     const Entry rhs = st[--n];
     Entry& e = st[n - 1];
     const unsigned w = mask_width(ip->imm);
     std::uint64_t* r = region(n - 1);
-    std::uint64_t carry[K] = {};
+    std::uint64_t carry = 0;
     for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* a = row(e, b);  // same-index: in-place safe
-      const std::uint64_t* q = row(rhs, b);
-      for (unsigned j = 0; j < K; ++j) {
-        const std::uint64_t av = a[j];
-        const std::uint64_t qv = q[j];
-        const std::uint64_t x = av ^ qv;
-        r[b * K + j] = x ^ carry[j];
-        carry[j] = (av & qv) | (carry[j] & x);
-      }
+      const std::uint64_t av = row(e, b);  // same-index: in-place safe
+      const std::uint64_t qv = row(rhs, b);
+      const std::uint64_t x = av ^ qv;
+      r[b] = x ^ carry;
+      carry = (av & qv) | (carry & x);
     }
     e = Entry{r, w};
   }
@@ -463,18 +402,13 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     Entry& e = st[n - 1];
     const unsigned w = mask_width(ip->imm);
     std::uint64_t* r = region(n - 1);
-    std::uint64_t carry[K];
-    for (unsigned j = 0; j < K; ++j) carry[j] = ~std::uint64_t{0};
+    std::uint64_t carry = ~std::uint64_t{0};
     for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* a = row(e, b);
-      const std::uint64_t* q = row(rhs, b);
-      for (unsigned j = 0; j < K; ++j) {
-        const std::uint64_t av = a[j];
-        const std::uint64_t qv = ~q[j];
-        const std::uint64_t x = av ^ qv;
-        r[b * K + j] = x ^ carry[j];
-        carry[j] = (av & qv) | (carry[j] & x);
-      }
+      const std::uint64_t av = row(e, b);
+      const std::uint64_t qv = ~row(rhs, b);
+      const std::uint64_t x = av ^ qv;
+      r[b] = x ^ carry;
+      carry = (av & qv) | (carry & x);
     }
     e = Entry{r, w};
   }
@@ -485,11 +419,7 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     Entry& e = st[n - 1];
     const unsigned w = e.w < rhs.w ? e.w : rhs.w;
     std::uint64_t* r = region(n - 1);
-    for (unsigned b = 0; b < w; ++b) {
-      for (unsigned j = 0; j < K; ++j) {
-        r[b * K + j] = e.p[b * K + j] & rhs.p[b * K + j];
-      }
-    }
+    for (unsigned b = 0; b < w; ++b) r[b] = e.p[b] & rhs.p[b];
     e = Entry{r, w};
   }
   HLCS_BT_NEXT();
@@ -499,11 +429,7 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     Entry& e = st[n - 1];
     const unsigned w = e.w > rhs.w ? e.w : rhs.w;
     std::uint64_t* r = region(n - 1);
-    for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* a = row(e, b);
-      const std::uint64_t* q = row(rhs, b);
-      for (unsigned j = 0; j < K; ++j) r[b * K + j] = a[j] | q[j];
-    }
+    for (unsigned b = 0; b < w; ++b) r[b] = row(e, b) | row(rhs, b);
     e = Entry{r, w};
   }
   HLCS_BT_NEXT();
@@ -513,11 +439,7 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     Entry& e = st[n - 1];
     const unsigned w = e.w > rhs.w ? e.w : rhs.w;
     std::uint64_t* r = region(n - 1);
-    for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* a = row(e, b);
-      const std::uint64_t* q = row(rhs, b);
-      for (unsigned j = 0; j < K; ++j) r[b * K + j] = a[j] ^ q[j];
-    }
+    for (unsigned b = 0; b < w; ++b) r[b] = row(e, b) ^ row(rhs, b);
     e = Entry{r, w};
   }
   HLCS_BT_NEXT();
@@ -525,16 +447,9 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
   HLCS_BT_OP(Eq) {
     const Entry rhs = st[--n];
     Entry& e = st[n - 1];
-    const unsigned w = e.w > rhs.w ? e.w : rhs.w;
-    std::uint64_t acc[K];
-    for (unsigned j = 0; j < K; ++j) acc[j] = ~std::uint64_t{0};
-    for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* a = row(e, b);
-      const std::uint64_t* q = row(rhs, b);
-      for (unsigned j = 0; j < K; ++j) acc[j] &= ~(a[j] ^ q[j]);
-    }
+    const std::uint64_t v = eq(e, rhs);
     std::uint64_t* r = region(n - 1);
-    for (unsigned j = 0; j < K; ++j) r[j] = acc[j];
+    r[0] = v;
     e = Entry{r, 1};
   }
   HLCS_BT_NEXT();
@@ -542,16 +457,9 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
   HLCS_BT_OP(Ne) {
     const Entry rhs = st[--n];
     Entry& e = st[n - 1];
-    const unsigned w = e.w > rhs.w ? e.w : rhs.w;
-    std::uint64_t acc[K];
-    for (unsigned j = 0; j < K; ++j) acc[j] = ~std::uint64_t{0};
-    for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* a = row(e, b);
-      const std::uint64_t* q = row(rhs, b);
-      for (unsigned j = 0; j < K; ++j) acc[j] &= ~(a[j] ^ q[j]);
-    }
+    const std::uint64_t v = ~eq(e, rhs);
     std::uint64_t* r = region(n - 1);
-    for (unsigned j = 0; j < K; ++j) r[j] = ~acc[j];
+    r[0] = v;
     e = Entry{r, 1};
   }
   HLCS_BT_NEXT();
@@ -594,15 +502,9 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     // High (lhs) part first, descending: write row b reads row b - lo
     // < b, which a descending sweep has not clobbered yet, so the lhs
     // may live in-place at this region.
-    for (unsigned b = w; b-- > lo;) {
-      const std::uint64_t* a = row(e, b - lo);
-      for (unsigned j = 0; j < K; ++j) r[b * K + j] = a[j];
-    }
+    for (unsigned b = w; b-- > lo;) r[b] = row(e, b - lo);
     const unsigned rw = lo < w ? lo : w;
-    for (unsigned b = 0; b < rw; ++b) {
-      const std::uint64_t* q = row(rhs, b);
-      for (unsigned j = 0; j < K; ++j) r[b * K + j] = q[j];
-    }
+    for (unsigned b = 0; b < rw; ++b) r[b] = row(rhs, b);
     e = Entry{r, w};
   }
   HLCS_BT_NEXT();
@@ -611,18 +513,11 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     const Entry els = st[--n];
     const Entry thn = st[--n];
     Entry& sel = st[n - 1];
-    std::uint64_t s[K] = {};  // per-lane truthiness of the selector
-    for (unsigned b = 0; b < sel.w; ++b) {
-      for (unsigned j = 0; j < K; ++j) s[j] |= sel.p[b * K + j];
-    }
+    const std::uint64_t s = truth(sel);
     const unsigned w = thn.w > els.w ? thn.w : els.w;
     std::uint64_t* r = region(n - 1);
     for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* t = row(thn, b);
-      const std::uint64_t* z = row(els, b);
-      for (unsigned j = 0; j < K; ++j) {
-        r[b * K + j] = (s[j] & t[j]) | (~s[j] & z[j]);
-      }
+      r[b] = (s & row(thn, b)) | (~s & row(els, b));
     }
     sel = Entry{r, w};
   }
@@ -635,11 +530,7 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     Entry& e = st[n - 1];
     const unsigned w = e.w < rhs.w ? e.w : rhs.w;
     std::uint64_t* r = region(n - 1);
-    for (unsigned b = 0; b < w; ++b) {
-      for (unsigned j = 0; j < K; ++j) {
-        r[b * K + j] = e.p[b * K + j] & rhs.p[b * K + j];
-      }
-    }
+    for (unsigned b = 0; b < w; ++b) r[b] = e.p[b] & rhs.p[b];
     e = Entry{r, w};
   }
   HLCS_BT_NEXT();
@@ -649,11 +540,7 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     Entry& e = st[n - 1];
     const unsigned w = e.w > rhs.w ? e.w : rhs.w;
     std::uint64_t* r = region(n - 1);
-    for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* a = row(e, b);
-      const std::uint64_t* q = row(rhs, b);
-      for (unsigned j = 0; j < K; ++j) r[b * K + j] = a[j] | q[j];
-    }
+    for (unsigned b = 0; b < w; ++b) r[b] = row(e, b) | row(rhs, b);
     e = Entry{r, w};
   }
   HLCS_BT_NEXT();
@@ -663,11 +550,7 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     Entry& e = st[n - 1];
     const unsigned w = e.w > rhs.w ? e.w : rhs.w;
     std::uint64_t* r = region(n - 1);
-    for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* a = row(e, b);
-      const std::uint64_t* q = row(rhs, b);
-      for (unsigned j = 0; j < K; ++j) r[b * K + j] = a[j] ^ q[j];
-    }
+    for (unsigned b = 0; b < w; ++b) r[b] = row(e, b) ^ row(rhs, b);
     e = Entry{r, w};
   }
   HLCS_BT_NEXT();
@@ -676,10 +559,7 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     const Entry src = net_entry(ip->aux);
     std::uint64_t* r = region(n);
     const unsigned w = mask_width(ip->imm);
-    for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* a = row(src, b);
-      for (unsigned j = 0; j < K; ++j) r[b * K + j] = ~a[j];
-    }
+    for (unsigned b = 0; b < w; ++b) r[b] = ~row(src, b);
     st[n++] = Entry{r, w};
   }
   HLCS_BT_NEXT();
@@ -692,12 +572,7 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     const unsigned wn = mask_width(ip->imm);
     const unsigned w = e.w < wn ? e.w : wn;
     std::uint64_t* r = region(n - 1);
-    for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* q = row(rhs, b);
-      for (unsigned j = 0; j < K; ++j) {
-        r[b * K + j] = e.p[b * K + j] & ~q[j];
-      }
-    }
+    for (unsigned b = 0; b < w; ++b) r[b] = e.p[b] & ~row(rhs, b);
     e = Entry{r, w};
   }
   HLCS_BT_NEXT();
@@ -708,12 +583,7 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     const unsigned wn = mask_width(ip->imm);
     const unsigned w = e.w < wn ? e.w : wn;
     std::uint64_t* r = region(n - 1);
-    for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* q = row(rhs, b);
-      for (unsigned j = 0; j < K; ++j) {
-        r[b * K + j] = e.p[b * K + j] & ~q[j];
-      }
-    }
+    for (unsigned b = 0; b < w; ++b) r[b] = e.p[b] & ~row(rhs, b);
     e = Entry{r, w};
   }
   HLCS_BT_NEXT();
@@ -722,18 +592,11 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     const Entry els = net_entry(ip->aux);
     const Entry thn = st[--n];
     Entry& sel = st[n - 1];
-    std::uint64_t s[K] = {};
-    for (unsigned b = 0; b < sel.w; ++b) {
-      for (unsigned j = 0; j < K; ++j) s[j] |= sel.p[b * K + j];
-    }
+    const std::uint64_t s = truth(sel);
     const unsigned w = thn.w > els.w ? thn.w : els.w;
     std::uint64_t* r = region(n - 1);
     for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* t = row(thn, b);
-      const std::uint64_t* z = row(els, b);
-      for (unsigned j = 0; j < K; ++j) {
-        r[b * K + j] = (s[j] & t[j]) | (~s[j] & z[j]);
-      }
+      r[b] = (s & row(thn, b)) | (~s & row(els, b));
     }
     sel = Entry{r, w};
   }
@@ -742,34 +605,20 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
   HLCS_BT_OP(EqMux) {
     // The else operand is an Eq whose operands are still on the stack:
     // pop them, fold the compare into the select.  The compare result is
-    // accumulated locally before any row of the result is written, so
-    // operands may alias the result region.
+    // computed before any row of the result is written, so operands may
+    // alias the result region.
     const Entry cb = st[--n];
     const Entry ca = st[--n];
-    const unsigned cw = ca.w > cb.w ? ca.w : cb.w;
-    std::uint64_t eqv[K];
-    for (unsigned j = 0; j < K; ++j) eqv[j] = ~std::uint64_t{0};
-    for (unsigned b = 0; b < cw; ++b) {
-      const std::uint64_t* a = row(ca, b);
-      const std::uint64_t* q = row(cb, b);
-      for (unsigned j = 0; j < K; ++j) eqv[j] &= ~(a[j] ^ q[j]);
-    }
+    const std::uint64_t z = eq(ca, cb);
     const Entry thn = st[--n];
     Entry& sel = st[n - 1];
-    std::uint64_t s[K] = {};
-    for (unsigned b = 0; b < sel.w; ++b) {
-      for (unsigned j = 0; j < K; ++j) s[j] |= sel.p[b * K + j];
-    }
+    const std::uint64_t s = truth(sel);
     // The else (the compare) is 1 wide, so the mux result is
     // max(thn.w, 1) -- thn.w alone would be 0 for a PushConst 0 then.
     const unsigned w = thn.w > 1 ? thn.w : 1;
     std::uint64_t* r = region(n - 1);
     for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* t = row(thn, b);
-      for (unsigned j = 0; j < K; ++j) {
-        const std::uint64_t z = b == 0 ? eqv[j] : 0;
-        r[b * K + j] = (s[j] & t[j]) | (~s[j] & z);
-      }
+      r[b] = (s & row(thn, b)) | (~s & (b == 0 ? z : 0));
     }
     sel = Entry{r, w};
   }
@@ -778,29 +627,14 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
   HLCS_BT_OP(NeMux) {
     const Entry cb = st[--n];
     const Entry ca = st[--n];
-    const unsigned cw = ca.w > cb.w ? ca.w : cb.w;
-    std::uint64_t eqv[K];
-    for (unsigned j = 0; j < K; ++j) eqv[j] = ~std::uint64_t{0};
-    for (unsigned b = 0; b < cw; ++b) {
-      const std::uint64_t* a = row(ca, b);
-      const std::uint64_t* q = row(cb, b);
-      for (unsigned j = 0; j < K; ++j) eqv[j] &= ~(a[j] ^ q[j]);
-    }
-    for (unsigned j = 0; j < K; ++j) eqv[j] = ~eqv[j];
+    const std::uint64_t z = ~eq(ca, cb);
     const Entry thn = st[--n];
     Entry& sel = st[n - 1];
-    std::uint64_t s[K] = {};
-    for (unsigned b = 0; b < sel.w; ++b) {
-      for (unsigned j = 0; j < K; ++j) s[j] |= sel.p[b * K + j];
-    }
+    const std::uint64_t s = truth(sel);
     const unsigned w = thn.w > 1 ? thn.w : 1;
     std::uint64_t* r = region(n - 1);
     for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* t = row(thn, b);
-      for (unsigned j = 0; j < K; ++j) {
-        const std::uint64_t z = b == 0 ? eqv[j] : 0;
-        r[b * K + j] = (s[j] & t[j]) | (~s[j] & z);
-      }
+      r[b] = (s & row(thn, b)) | (~s & (b == 0 ? z : 0));
     }
     sel = Entry{r, w};
   }
@@ -813,18 +647,11 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     const Entry els = st[--n];
     const Entry thn = st[--n];
     const Entry sel = st[--n];
-    std::uint64_t s[K] = {};
-    for (unsigned b = 0; b < sel.w; ++b) {
-      for (unsigned j = 0; j < K; ++j) s[j] |= sel.p[b * K + j];
-    }
+    const std::uint64_t s = truth(sel);
     const unsigned w = thn.w > els.w ? thn.w : els.w;
-    std::uint64_t* sp = slots0 + std::size_t{ip->aux} * (kLanes * K);
+    std::uint64_t* sp = slots0 + std::size_t{ip->aux} * kLanes;
     for (unsigned b = 0; b < w; ++b) {
-      const std::uint64_t* t = row(thn, b);
-      const std::uint64_t* z = row(els, b);
-      for (unsigned j = 0; j < K; ++j) {
-        sp[b * K + j] = (s[j] & t[j]) | (~s[j] & z[j]);
-      }
+      sp[b] = (s & row(thn, b)) | (~s & row(els, b));
     }
     slot_w_[ip->aux] = w;
   }
@@ -842,12 +669,9 @@ l_done:;
 #undef HLCS_BT_NEXT
 
   const Entry res = st[n - 1];
-  std::uint64_t* t = planes + std::size_t{plane_off_[target]} * K;
+  std::uint64_t* t = planes + plane_off_[target];
   const unsigned wt = width_[target];
-  for (unsigned b = 0; b < wt; ++b) {
-    const std::uint64_t* a = row(res, b);
-    for (unsigned j = 0; j < K; ++j) t[b * K + j] = a[j];
-  }
+  for (unsigned b = 0; b < wt; ++b) t[b] = row(res, b);
 }
 
 void BatchTape::run_lanes(std::size_t ci, std::uint64_t* planes) {
@@ -857,38 +681,34 @@ void BatchTape::run_lanes(std::size_t ci, std::uint64_t* planes) {
   const NetId* sb = tape_.sources_begin(static_cast<std::uint32_t>(ci));
   const NetId* se = tape_.sources_end(static_cast<std::uint32_t>(ci));
   const unsigned wt = width_[c.target];
-  const unsigned K = super_;
-  std::uint64_t* res = scalar_res_.data();
-  std::fill(res, res + std::size_t{wt} * K, 0);
-  const std::size_t all = lanes();
-  for (std::size_t lane = 0; lane < all; ++lane) {
-    const std::size_t word = lane >> 6;
-    const unsigned bit = static_cast<unsigned>(lane & 63);
+  std::uint64_t res[kLanes] = {};
+  for (unsigned lane = 0; lane < kLanes; ++lane) {
     // Gather this lane's source values out of the planes, run the
     // ordinary scalar tape, scatter the result bits back.
     for (const NetId* s = sb; s != se; ++s) {
-      const std::uint64_t* sp = planes + std::size_t{plane_off_[*s]} * K;
+      const std::uint64_t* sp = planes + plane_off_[*s];
       std::uint64_t v = 0;
       for (unsigned b = 0; b < width_[*s]; ++b) {
-        v |= ((sp[b * K + word] >> bit) & 1) << b;
+        v |= ((sp[b] >> lane) & 1) << b;
       }
       scalar_nets_[*s] = v;
     }
     const std::uint64_t v = tape_exec(ipb, ipe, scalar_nets_.data(),
                                       scalar_stack_.data(),
                                       scalar_slots_.data());
-    for (unsigned b = 0; b < wt; ++b) {
-      res[b * K + word] |= ((v >> b) & 1) << bit;
-    }
+    for (unsigned b = 0; b < wt; ++b) res[b] |= ((v >> b) & 1) << lane;
   }
-  std::uint64_t* t = planes + std::size_t{plane_off_[c.target]} * K;
-  for (std::size_t i = 0; i < std::size_t{wt} * K; ++i) t[i] = res[i];
+  std::copy(res, res + wt, planes + plane_off_[c.target]);
 }
 
 BatchNetlistSim::BatchNetlistSim(const Netlist& nl, unsigned super, bool jit)
     : nl_(nl),
-      bt_(nl, super),
-      planes_(std::size_t{bt_.total_planes()} * bt_.super(), 0) {
+      bt_(nl),
+      planes_(bt_.total_planes(), 0) {
+  if (super != 1) {
+    fail("batch engine: rows are 64 lanes wide; the only superlane "
+         "factor is 1 (got " + std::to_string(super) + ")");
+  }
   if (jit && BatchJit::host_supported()) {
     jit_ = std::make_unique<BatchJit>(bt_);
     // Nothing compilable (or no executable pages): fall back wholesale.
@@ -901,7 +721,7 @@ BatchNetlistSim::BatchNetlistSim(const Netlist& nl, unsigned super, bool jit)
     off += nl.nets()[r.q].width;
   }
   latch_off_.push_back(off);
-  latch_.resize(std::size_t{off} * bt_.super());
+  latch_.resize(off);
   reset_state();
 }
 
@@ -913,38 +733,29 @@ void BatchNetlistSim::reset_state() {
 }
 
 void BatchNetlistSim::set_input(NetId n, std::size_t lane, std::uint64_t v) {
-  const unsigned K = bt_.super();
-  std::uint64_t* p = planes_.data() + std::size_t{bt_.plane_off(n)} * K;
+  std::uint64_t* p = planes_.data() + bt_.plane_off(n);
   const unsigned w = nl_.nets()[n].width;
-  const std::size_t word = lane >> 6;
   const std::uint64_t bit = std::uint64_t{1} << (lane & 63);
   for (unsigned b = 0; b < w; ++b) {
     // Branchless merge: copy value-bit b into this lane's plane bit.
-    std::uint64_t& pw = p[std::size_t{b} * K + word];
-    pw ^= (pw ^ (std::uint64_t{0} - ((v >> b) & 1))) & bit;
+    p[b] ^= (p[b] ^ (std::uint64_t{0} - ((v >> b) & 1))) & bit;
   }
 }
 
 void BatchNetlistSim::set_input_broadcast(NetId n, std::uint64_t v) {
-  const unsigned K = bt_.super();
-  std::uint64_t* p = planes_.data() + std::size_t{bt_.plane_off(n)} * K;
+  std::uint64_t* p = planes_.data() + bt_.plane_off(n);
   const unsigned w = nl_.nets()[n].width;
   for (unsigned b = 0; b < w; ++b) {
-    const std::uint64_t row = (v >> b) & 1 ? ~std::uint64_t{0} : 0;
-    for (unsigned j = 0; j < K; ++j) p[std::size_t{b} * K + j] = row;
+    p[b] = (v >> b) & 1 ? ~std::uint64_t{0} : 0;
   }
 }
 
 std::uint64_t BatchNetlistSim::get(NetId n, std::size_t lane) const {
-  const unsigned K = bt_.super();
-  const std::uint64_t* p = planes_.data() + std::size_t{bt_.plane_off(n)} * K;
+  const std::uint64_t* p = planes_.data() + bt_.plane_off(n);
   const unsigned w = nl_.nets()[n].width;
-  const std::size_t word = lane >> 6;
   const unsigned bit = static_cast<unsigned>(lane & 63);
   std::uint64_t v = 0;
-  for (unsigned b = 0; b < w; ++b) {
-    v |= ((p[std::size_t{b} * K + word] >> bit) & 1) << b;
-  }
+  for (unsigned b = 0; b < w; ++b) v |= ((p[b] >> bit) & 1) << b;
   return v;
 }
 
@@ -960,57 +771,20 @@ void BatchNetlistSim::settle() {
 void BatchNetlistSim::clock_edge() {
   settle();
   ++stats_.edges;
-  const unsigned K = bt_.super();
   const auto& regs = nl_.regs();
   // Two passes so every D is sampled before any Q updates, exactly like
   // the scalar engine's simultaneous latch.
   for (std::size_t i = 0; i < regs.size(); ++i) {
-    const std::uint64_t* d =
-        planes_.data() + std::size_t{bt_.plane_off(regs[i].d)} * K;
-    std::uint64_t* l = latch_.data() + std::size_t{latch_off_[i]} * K;
-    const std::size_t words = std::size_t{nl_.nets()[regs[i].q].width} * K;
-    for (std::size_t b = 0; b < words; ++b) l[b] = d[b];
+    const std::uint64_t* d = planes_.data() + bt_.plane_off(regs[i].d);
+    std::copy(d, d + nl_.nets()[regs[i].q].width,
+              latch_.data() + latch_off_[i]);
   }
   for (std::size_t i = 0; i < regs.size(); ++i) {
-    const std::uint64_t* l = latch_.data() + std::size_t{latch_off_[i]} * K;
-    std::uint64_t* q =
-        planes_.data() + std::size_t{bt_.plane_off(regs[i].q)} * K;
-    const std::size_t words = std::size_t{nl_.nets()[regs[i].q].width} * K;
-    for (std::size_t b = 0; b < words; ++b) q[b] = l[b];
+    const std::uint64_t* l = latch_.data() + latch_off_[i];
+    std::copy(l, l + nl_.nets()[regs[i].q].width,
+              planes_.data() + bt_.plane_off(regs[i].q));
   }
   settle();
-}
-
-// Deterministic sharding: the partition depends only on (lanes, super).
-// Full super-wide blocks first; the tail runs at the smallest superlane
-// that covers the remaining lanes, so small populations (e.g. the
-// classic 64-lane check at super=8) never pay for idle plane words.
-std::vector<BatchRunner::Block> BatchRunner::partition(std::size_t lanes,
-                                                       unsigned super) {
-  if (super == 0) super = cpu_superlanes();
-  if (super != 1 && super != 4 && super != 8) {
-    fail("batch engine: superlane factor must be 1, 4 or 8 (got " +
-         std::to_string(super) + ")");
-  }
-  std::vector<Block> blocks;
-  std::size_t lane0 = 0;
-  while (lane0 < lanes) {
-    const std::size_t rem = lanes - lane0;
-    unsigned k = 1;
-    if (super >= 4 && rem > std::size_t{k} * BatchTape::kLanes) k = 4;
-    if (super >= 8 && rem > std::size_t{k} * BatchTape::kLanes) k = 8;
-    const std::size_t width = std::size_t{k} * BatchTape::kLanes;
-    blocks.push_back(Block{lane0, rem < width ? rem : width, k});
-    lane0 += width;
-  }
-  return blocks;
-}
-
-void BatchRunner::run(std::size_t lanes, unsigned threads, unsigned super,
-                      const BlockFn& fn) {
-  const std::vector<Block> blocks = partition(lanes, super);
-  sim::parallel_for_indexed(blocks.size(), threads,
-                            [&](std::size_t i) { fn(i, blocks[i]); });
 }
 
 }  // namespace hlcs::synth

@@ -1,20 +1,14 @@
-// Superlane bit-parallel evaluation of TapeProgram bytecode.
+// Bit-parallel evaluation of TapeProgram bytecode over 64 lanes.
 //
 // The scalar engine (rtl_sim.hpp) holds every net in one packed uint64
 // and evaluates one stimulus vector at a time, leaving 63/64ths of each
 // machine word idle for 1-bit nets.  BatchTape transposes that layout:
-// every net becomes `width` bit-plane *rows*, each row K consecutive
-// uint64 words (a superlane) whose bit 64*j + L is that net-bit's value
-// in lane 64*j + L.  One tape instruction over rows then advances
-// K x 64 independent simulations at once -- classic bit-parallel gate
-// simulation, applied to the existing bytecode.  K is a runtime choice
-// from {1, 4, 8} (64 / 256 / 512 lanes per instruction); the inner
-// loops carry K as a compile-time constant so the compiler can
-// auto-vectorize a row op into one AVX2 (K=4) or AVX-512 (K=8)
-// operation when the build enables those ISAs (HLCS_NATIVE_SIMD), and
-// into plain unrolled scalar code otherwise.  K=1 reproduces the PR 5
-// 64-lane engine and is always built and tested; cpu_superlanes()
-// reports the widest K the host's vector units back natively.
+// every net becomes `width` bit-plane *rows*, each row one uint64 whose
+// bit L is that net-bit's value in lane L.  One tape instruction over
+// rows then advances 64 independent simulations at once -- classic
+// bit-parallel gate simulation, applied to the existing bytecode.
+// (Wider rows of 4 or 8 words were measured on the whole step-3 check
+// and never won by a margin worth a second layout; docs/PERF.md.)
 //
 // The per-instruction dispatch itself is direct-threaded where the
 // compiler supports computed goto (one indirect branch per handler,
@@ -30,7 +24,7 @@
 // fused superinstructions.
 //
 // Ops with per-bit semantics run on rows directly, and Add/Sub/Neg plus
-// the ordered comparisons run as K*64-lane ripple carry/borrow chains.
+// the ordered comparisons run as 64-lane ripple carry/borrow chains.
 // Combs containing Mul or the data-dependent shifts (Shl/Shr) -- where
 // the cross-bit structure depends on lane values -- fall back to
 // per-lane scalar evaluation of the SAME tape segment, so every verdict
@@ -38,17 +32,15 @@
 // classified.  Classification is per-comb and static; BatchStats
 // reports the fallback fraction and instruction counts.
 //
-// BatchNetlistSim stacks the sequential layer on top: K*64 independent
+// BatchNetlistSim stacks the sequential layer on top: 64 independent
 // register files latched together through clock_edge()/settle(), with
-// the same reset semantics as NetlistSim.  BatchRunner shards lane
-// populations into superlane blocks across the ParallelSweep worker
-// pool (results indexed by block, bit-identical at any thread count,
-// lane count, or superlane width).
+// the same reset semantics as NetlistSim.  Larger lane populations are
+// split into 64-lane blocks by the caller (check_equivalence shards
+// them over sim::parallel_for_indexed).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -59,13 +51,6 @@
 #include "hlcs/synth/tape.hpp"
 
 namespace hlcs::synth {
-
-/// Widest superlane factor K the host CPU's vector units execute as
-/// single instructions: 8 with AVX-512, 4 with AVX2, else 1.  Every K
-/// is correct on every host (the row loops compile portably); this only
-/// picks the default that amortizes dispatch best without wasting plane
-/// work on lanes the hardware cannot stream.
-unsigned cpu_superlanes();
 
 /// Batch-engine opcodes: the scalar TapeOps that can run on bit-plane
 /// rows, plus the fused superinstructions the peephole pass emits.
@@ -120,14 +105,14 @@ struct BatchInsn {
 };
 
 /// Observability counters for the batch engine, mirroring NetlistStats.
-/// One "comb evaluation" here advances all lanes() of that comb.
+/// One "comb evaluation" here advances all 64 lanes of that comb.
 struct BatchStats {
   std::uint64_t settles = 0;             ///< settle() calls
   std::uint64_t edges = 0;               ///< clock_edge() calls
   std::uint64_t combs_evaluated = 0;     ///< comb evaluations (all lanes each)
   std::uint64_t combs_bit_parallel = 0;  ///< evaluated on bit-plane rows
   std::uint64_t combs_scalar = 0;        ///< evaluated via per-lane fallback
-  std::uint64_t scalar_lane_evals = 0;   ///< lanes() x combs_scalar
+  std::uint64_t scalar_lane_evals = 0;   ///< 64 x combs_scalar
   std::uint64_t plane_instructions = 0;  ///< bit-parallel batch insns executed
   std::uint64_t fused_ops = 0;           ///< fused superinstructions executed
   std::uint64_t scalar_ops = 0;  ///< scalar tape insns executed in fallback
@@ -162,22 +147,16 @@ struct BatchStats {
 /// plane array (see BatchNetlistSim).
 class BatchTape {
 public:
-  /// Lanes per machine word; one superlane is `super()` words.
+  /// Lanes per row: one machine word.
   static constexpr std::size_t kLanes = 64;
-  static constexpr unsigned kMaxSuper = 8;
 
-  /// `super` must be 1, 4 or 8 (0 picks cpu_superlanes()).
-  explicit BatchTape(const Netlist& nl, unsigned super = 1);
+  explicit BatchTape(const Netlist& nl);
 
   const TapeProgram& program() const { return tape_; }
-  unsigned super() const { return super_; }
-  /// Simulations advanced per instruction: super() * 64.
-  std::size_t lanes() const { return std::size_t{super_} * kLanes; }
-  /// First row of net n; the row's words start at row * super() inside
-  /// the caller's plane array.
+  /// Row of net n's bit 0 inside the caller's plane array (one word per
+  /// row, so also its word offset).
   std::uint32_t plane_off(NetId n) const { return plane_off_[n]; }
-  /// Total rows across all nets; the plane array holds
-  /// total_planes() * super() words.
+  /// Total rows (= words) across all nets.
   std::uint32_t total_planes() const { return plane_off_.back(); }
   bool comb_bit_parallel(std::size_t ci) const { return bcombs_[ci].parallel; }
   /// Static classification: combs that will take the scalar fallback.
@@ -208,12 +187,9 @@ private:
     bool parallel = false;
   };
 
-  template <unsigned K>
-  void run_combs(std::uint64_t* planes);
   /// Evaluate a single comb through the interpreter (plane or scalar
   /// path per its classification) -- the JIT's per-comb deopt entry.
   void run_comb(std::size_t ci, std::uint64_t* planes);
-  template <unsigned K>
   void run_planes(const BComb& bc, NetId target, std::uint64_t* planes);
   void run_lanes(std::size_t ci, std::uint64_t* planes);
   void fuse_comb(const TapeInsn* ip, const TapeInsn* end, BComb& bc);
@@ -228,7 +204,6 @@ private:
   };
 
   TapeProgram tape_;
-  unsigned super_;
   std::vector<std::uint32_t> plane_off_;  ///< size nets()+1, in rows
   std::vector<unsigned> width_;           ///< net widths
   std::vector<BatchInsn> bcode_;          ///< fused batch stream
@@ -245,38 +220,35 @@ private:
   // Bit-parallel scratch: one fixed 64-row region per stack slot / CSE
   // slot, so entries never alias each other.
   std::vector<Entry> entries_;
-  std::vector<std::uint64_t> stack_planes_;  ///< max_stack x 64 x super
-  std::vector<std::uint64_t> slot_planes_;   ///< max_slots x 64 x super
+  std::vector<std::uint64_t> stack_planes_;  ///< max_stack x 64 rows
+  std::vector<std::uint64_t> slot_planes_;   ///< max_slots x 64 rows
   std::vector<unsigned> slot_w_;
 
   // Scalar-fallback scratch: per-lane gather/exec buffers.
   std::vector<std::uint64_t> scalar_nets_;  ///< size nets(), sources filled
   std::vector<std::uint64_t> scalar_stack_;
   std::vector<std::uint64_t> scalar_slots_;
-  std::vector<std::uint64_t> scalar_res_;  ///< result rows, 64 x super
 };
 
-/// K*64 independent netlist simulations stepped in lock step: one
-/// shared combinational tape over bit-plane rows, K*64 register files
-/// latched together.  The API mirrors NetlistSim with an extra lane
-/// index; settle() evaluates the full tape (the batch engine's win is
+/// 64 independent netlist simulations stepped in lock step: one shared
+/// combinational tape over bit-plane rows, 64 register files latched
+/// together.  The API mirrors NetlistSim with an extra lane index
+/// (0..63); settle() evaluates the full tape (the batch engine's win is
 /// lane parallelism, not sparsity).
 class BatchNetlistSim {
 public:
   static constexpr std::size_t kLanes = BatchTape::kLanes;
 
-  /// `super` must be 1, 4 or 8 (0 picks cpu_superlanes()).  With
-  /// `jit = true` the comb tape runs as native code (hlcs/synth/jit.hpp)
-  /// where the host supports it; the flag is a silent no-op otherwise,
-  /// so callers can request the JIT unconditionally.
+  /// `super` is kept for source compatibility and must be 1 (the only
+  /// row width); anything else throws hlcs::Error.  With `jit = true`
+  /// the comb tape runs as native code (hlcs/synth/jit.hpp) where the
+  /// host supports it; the flag is a silent no-op otherwise, so callers
+  /// can request the JIT unconditionally.
   explicit BatchNetlistSim(const Netlist& nl, unsigned super = 1,
                            bool jit = false);
 
-  unsigned super() const { return bt_.super(); }
   /// Non-null when settles run through the native batch JIT.
   const JitStats* jit_stats() const { return jit_ ? &jit_->stats() : nullptr; }
-  /// Independent simulations carried by this instance: super() * 64.
-  std::size_t lanes() const { return bt_.lanes(); }
 
   /// Latch every register's initial value (all lanes) and settle.
   void reset_state();
@@ -292,9 +264,9 @@ public:
   std::uint64_t get(const std::string& name, std::size_t lane) const {
     return get(nl_.find(name), lane);
   }
-  /// One bit of net n across 64 lanes (bit L = lane 64*word + L).
-  std::uint64_t plane(NetId n, unsigned bit, unsigned word = 0) const {
-    return planes_[(bt_.plane_off(n) + bit) * bt_.super() + word];
+  /// One bit of net n across all 64 lanes (bit L = lane L).
+  std::uint64_t plane(NetId n, unsigned bit) const {
+    return planes_[bt_.plane_off(n) + bit];
   }
 
   /// Evaluate every comb in topological order, all lanes at once.
@@ -316,36 +288,6 @@ private:
   std::vector<std::uint64_t> latch_;      ///< register-D row scratch
   std::vector<std::uint32_t> latch_off_;  ///< per reg, into latch_ (rows)
   BatchStats stats_;
-};
-
-/// Shards a lane population into superlane blocks over the same
-/// dynamic-claiming worker pool ParallelSweep uses.  The partition
-/// depends only on (lanes, super) -- full `super`-wide blocks first,
-/// then one tail block using the smallest superlane that covers the
-/// remainder -- and callers store results by block index, so outcomes
-/// are bit-identical at any thread count.
-class BatchRunner {
-public:
-  struct Block {
-    std::size_t lane0;  ///< first lane of the block
-    std::size_t lanes;  ///< active lanes in the block (<= super * 64)
-    unsigned super;     ///< superlane factor the block should run at
-  };
-
-  /// fn(block_index, block); blocks may run concurrently, each on its
-  /// own worker.  threads == 0 picks hardware concurrency, threads == 1
-  /// runs serially on the calling thread.  super == 0 picks
-  /// cpu_superlanes().
-  using BlockFn = std::function<void(std::size_t, const Block&)>;
-
-  static std::vector<Block> partition(std::size_t lanes, unsigned super);
-
-  static std::size_t block_count(std::size_t lanes, unsigned super = 1) {
-    return partition(lanes, super).size();
-  }
-
-  static void run(std::size_t lanes, unsigned threads, unsigned super,
-                  const BlockFn& fn);
 };
 
 }  // namespace hlcs::synth

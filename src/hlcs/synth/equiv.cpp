@@ -1,9 +1,11 @@
 #include "hlcs/synth/equiv.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <sstream>
 
 #include "hlcs/sim/random.hpp"
+#include "hlcs/sim/sweep.hpp"
 #include "hlcs/synth/batch_tape.hpp"
 
 namespace hlcs::synth {
@@ -196,17 +198,16 @@ LaneOutcome run_scalar_lane(const ObjectDesc& desc, const SynthOptions& opt,
   return out;
 }
 
-/// One superlane block of the batch backend: a single BatchNetlistSim
-/// carries all the block's lanes' RTL state; per-lane golden models and
-/// stimulus run exactly the scalar loop's cycle structure.
+/// One 64-lane block of the batch backend (lanes lane0 .. lane0+n-1): a
+/// single BatchNetlistSim carries all the block's lanes' RTL state;
+/// per-lane golden models and stimulus run exactly the scalar loop's
+/// cycle structure.
 void run_batch_block(const ObjectDesc& desc, const SynthOptions& opt,
                      const EquivOptions& eopt, const Netlist& nl,
-                     const Ports& ports, const BatchRunner::Block& blk,
+                     const Ports& ports, std::size_t lane0, std::size_t n,
                      LaneOutcome* outs, std::vector<EquivVector>* record,
                      BatchStats* stats_out, JitStats* jit_out) {
-  const std::size_t lane0 = blk.lane0;
-  const std::size_t n = blk.lanes;
-  BatchNetlistSim rtl(nl, blk.super, eopt.jit);
+  BatchNetlistSim rtl(nl, 1, eopt.jit);
   std::vector<GoldenCycleModel> goldens;
   goldens.reserve(n);
   std::vector<LaneStim> stims(n);
@@ -334,6 +335,11 @@ void merge_outcomes(EquivResult& result, const std::vector<LaneOutcome>& outs,
 
 EquivResult check_equivalence(const ObjectDesc& desc, const SynthOptions& opt,
                               const EquivOptions& eopt) {
+  if (eopt.superlanes != 1) {
+    fail("check_equivalence: the batch engine has one row width (64 "
+         "lanes, superlanes = 1); got superlanes = " +
+         std::to_string(eopt.superlanes));
+  }
   const Netlist nl = synthesize(desc, opt);
   const Ports ports = resolve_ports(nl, desc, opt);
   const std::size_t lanes = eopt.lanes == 0 ? 1 : eopt.lanes;
@@ -343,19 +349,21 @@ EquivResult check_equivalence(const ObjectDesc& desc, const SynthOptions& opt,
   std::vector<LaneOutcome> outs(lanes);
 
   if (eopt.batch) {
+    // Block b carries lanes 64b .. 64b+63 (the last one may be short).
     // Per-block stats land in a block-indexed vector and are summed in
     // block order afterwards, so the totals (like the verdicts) are
     // identical at any thread count.
-    const std::size_t nblocks = BatchRunner::block_count(lanes, eopt.superlanes);
+    constexpr std::size_t kBlock = BatchNetlistSim::kLanes;
+    const std::size_t nblocks = (lanes + kBlock - 1) / kBlock;
     std::vector<BatchStats> stats(nblocks);
     std::vector<JitStats> jstats(nblocks);
-    BatchRunner::run(lanes, eopt.threads, eopt.superlanes,
-                     [&](std::size_t block, const BatchRunner::Block& blk) {
-                       run_batch_block(desc, opt, eopt, nl, ports, blk,
-                                       outs.data() + blk.lane0,
-                                       block == 0 ? &result.vectors : nullptr,
-                                       &stats[block], &jstats[block]);
-                     });
+    sim::parallel_for_indexed(nblocks, eopt.threads, [&](std::size_t block) {
+      const std::size_t lane0 = kBlock * block;
+      run_batch_block(desc, opt, eopt, nl, ports, lane0,
+                      std::min(kBlock, lanes - lane0), outs.data() + lane0,
+                      block == 0 ? &result.vectors : nullptr, &stats[block],
+                      &jstats[block]);
+    });
     for (const BatchStats& s : stats) result.batch_stats += s;
     for (const JitStats& s : jstats) result.jit_stats += s;
     result.batch_scalar_fraction = result.batch_stats.scalar_fraction();

@@ -14,14 +14,13 @@
 //     seeded with sim::lane_seed(seed, i)), each a complete lock-step
 //     run.  More lanes = more coverage from one invocation, and any
 //     failure names the lane and its standalone-reproducible seed.
-//   - batch: evaluate lanes K*64 at a time on the bit-parallel engine
-//     (synth::BatchNetlistSim), sharding superlane blocks across worker
+//   - batch: evaluate lanes 64 at a time on the bit-parallel engine
+//     (synth::BatchNetlistSim), sharding 64-lane blocks across worker
 //     threads.  Stimulus depends only on each lane's RNG and the golden
 //     model, never on RTL outputs, so batch and scalar backends produce
-//     bit-identical verdicts at any thread count, lane count, or
-//     superlane width; the first mismatching lane is re-run on the
-//     scalar engine to regenerate the single-lane EquivVector
-//     diagnostics.
+//     bit-identical verdicts at any thread count or lane count; the
+//     first mismatching lane is re-run on the scalar engine to
+//     regenerate the single-lane EquivVector diagnostics.
 #pragma once
 
 #include <cstdint>
@@ -49,13 +48,12 @@ struct EquivOptions {
   /// Evaluate lanes on the bit-parallel engine instead of one scalar
   /// simulation per lane.  Verdicts are bit-identical either way.
   bool batch = false;
-  /// Worker threads for batch mode (one superlane block per claim);
+  /// Worker threads for batch mode (one 64-lane block per claim);
   /// 0 = hardware concurrency.  Ignored when batch is false.
   unsigned threads = 1;
-  /// Superlane factor for batch mode: 1, 4 or 8 (K*64 lanes advanced
-  /// per tape instruction), or 0 to pick cpu_superlanes().  The
-  /// partition of lanes into blocks depends only on (lanes, superlanes),
-  /// never on thread count.  Ignored when batch is false.
+  /// Kept so existing designated initializers compile: the batch
+  /// engine has one row width, so this must be 1 (anything else makes
+  /// check_equivalence throw hlcs::Error).
   unsigned superlanes = 1;
   /// Run each block's comb tape as native code (hlcs/synth/jit.hpp).
   /// Verdicts are bit-identical to the interpreter; a silent no-op on

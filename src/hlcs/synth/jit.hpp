@@ -14,11 +14,11 @@
 //    NetlistSim as SettleMode::Jit (a full-tape mode, like FullTape but
 //    native).
 //
-//  * BatchJit lowers the same tape over superlane bit-plane rows (the
-//    BatchTape layout, K in {1,4,8} words per row): every plane-friendly
-//    op unrolls to w x K machine ops, with ripple carry/borrow chains
-//    for Add/Sub/Neg and the ordered compares carried in r8..r15.  It
-//    drops into BatchNetlistSim behind a constructor flag.
+//  * BatchJit lowers the same tape over 64-lane bit-plane rows (the
+//    BatchTape layout, one word per row): every plane-friendly op
+//    unrolls to w machine ops, with ripple carry/borrow chains for
+//    Add/Sub/Neg and the ordered compares carried in r8.  It drops into
+//    BatchNetlistSim behind a constructor flag.
 //
 // The interpreter remains the always-built A/B reference.  Combs whose
 // tape contains Mul or a data-dependent shift (Shl/Shr) -- the same set
@@ -111,7 +111,7 @@ private:
   JitStats stats_;
 };
 
-/// Superlane tape -> native code over a BatchTape's plane layout.  The
+/// Batch tape -> native code over a BatchTape's plane layout.  The
 /// BatchTape reference must outlive the BatchJit; deopted combs are
 /// routed back through the BatchTape interpreter (scalar fallback or
 /// plane interpreter), so verdicts stay bit-identical per comb.

@@ -83,6 +83,19 @@ TEST(ParallelSweep, ScenarioExceptionPropagates) {
   EXPECT_EQ(completed.load(), 7);
 }
 
+TEST(ParallelForIndexed, PropagatesTheLowestIndexError) {
+  // Several indices throw; whichever worker finishes first, the caller
+  // sees the lowest failing index's exception.
+  try {
+    sim::parallel_for_indexed(4, 3, [](std::size_t i) {
+      if (i >= 1) throw std::runtime_error("index " + std::to_string(i));
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 1");
+  }
+}
+
 TEST(ParallelSweep, MoreThreadsThanPointsIsFine) {
   sim::ParallelSweep sweep(scenario);
   auto r = sweep.run(2, 16);

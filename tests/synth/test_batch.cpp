@@ -1,20 +1,17 @@
-// Batch engine: K*64-lane bit-identity against the scalar engine.
+// Batch engine: 64-lane bit-identity against the scalar engine.
 //
 // The contract under test is absolute: a BatchNetlistSim lane must be
 // indistinguishable, net for net and cycle for cycle, from a scalar
 // NetlistSim driven with the same stimulus -- across random netlists
 // (including word arithmetic, which takes the per-lane scalar
-// fallback), every scalar settle mode, every superlane factor
-// K in {1, 4, 8}, synthesized objects with reset pulses and register
-// feedback, and any BatchRunner thread count.
+// fallback), every scalar settle mode, synthesized objects with reset
+// pulses and register feedback, and any worker thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,16 +30,14 @@ namespace {
 
 constexpr std::size_t kLanes = BatchNetlistSim::kLanes;
 
-/// Drive the batch sim (at superlane factor `super`) and one scalar
-/// reference sim per lane with identical per-lane random stimulus and
-/// require bit identity on every net of every lane after every settle
-/// and edge.  This is the lane-for-lane statement: batch lane L at any
-/// K equals the scalar engine seeded for lane L, hence K=8 lane L
-/// equals K=1 lane L.
+/// Drive the batch sim and one scalar reference sim per lane with
+/// identical per-lane random stimulus and require bit identity on every
+/// net of every lane after every settle and edge: batch lane L equals
+/// the scalar engine seeded for lane L.
 void drive_batch_lockstep(const Netlist& nl, std::uint64_t seed, int edges,
-                          SettleMode ref_mode, unsigned super = 1) {
-  BatchNetlistSim batch(nl, super);
-  const std::size_t lanes = batch.lanes();
+                          SettleMode ref_mode) {
+  BatchNetlistSim batch(nl);
+  const std::size_t lanes = kLanes;
   std::vector<std::unique_ptr<NetlistSim>> refs;
   std::vector<sim::Xorshift> rngs;
   refs.reserve(lanes);
@@ -58,7 +53,7 @@ void drive_batch_lockstep(const Netlist& nl, std::uint64_t seed, int edges,
         ASSERT_EQ(batch.get(n, lane), refs[lane]->get(n))
             << "net '" << nl.nets()[n].name << "' lane " << lane << " ("
             << phase << ", edge " << edge << ", ref " << to_string(ref_mode)
-            << ", super " << super << ")";
+            << ")";
       }
     }
   };
@@ -105,20 +100,16 @@ TEST(BatchSim, AgreesWithEveryScalarSettleMode) {
 }
 
 TEST(BatchSim, SuperlaneSettleModeParityMatrix) {
-  // K x settle-mode matrix over randomized netlists: every lane of a
-  // K=4 / K=8 superlane sim must match its own scalar reference, in
-  // every scalar settle mode.  The generator mixes word arithmetic in,
-  // so the K-wide scalar fallback (gather/exec/scatter over K*64
-  // lanes) is exercised too, not just the row loops.
-  for (unsigned super : {1u, 4u, 8u}) {
-    Netlist nl = make_random_netlist(0x5AFE + super);
-    for (SettleMode mode : {SettleMode::Incremental, SettleMode::FullTape,
-                            SettleMode::TreeWalk}) {
-      SCOPED_TRACE("super " + std::to_string(super) + ", " +
-                   to_string(mode));
-      drive_batch_lockstep(nl, 0x9E3779B9 * super, super == 8 ? 6 : 10,
-                           mode, super);
-    }
+  // Settle-mode matrix over a randomized netlist: every lane must match
+  // its own scalar reference, in every scalar settle mode.  The
+  // generator mixes word arithmetic in, so the scalar fallback
+  // (gather/exec/scatter over the 64 lanes) is exercised too, not just
+  // the row loops.
+  Netlist nl = make_random_netlist(0x5AFE + 1);
+  for (SettleMode mode : {SettleMode::Incremental, SettleMode::FullTape,
+                          SettleMode::TreeWalk}) {
+    SCOPED_TRACE(to_string(mode));
+    drive_batch_lockstep(nl, 0x9E3779B9, 10, mode);
   }
 }
 
@@ -169,9 +160,7 @@ TEST(BatchSim, RandomSuiteExercisesBothEvaluationPaths) {
 
 TEST(BatchSim, Width64Boundary) {
   // Full-width planes: every per-op loop runs to exactly 64 rows, where
-  // an off-by-one in plane counts or lane masks would show.  At K=4 the
-  // row address is plane_off * K, where a stride bug would alias
-  // adjacent nets' rows.
+  // an off-by-one in plane counts or lane masks would show.
   Netlist nl("wide");
   const NetId a = nl.add_net("a", 64);
   const NetId b = nl.add_net("b", 64);
@@ -195,7 +184,6 @@ TEST(BatchSim, Width64Boundary) {
   nl.mark_output(cat);
   nl.validate_and_order();
   drive_batch_lockstep(nl, 0x64646464, 20, SettleMode::Incremental);
-  drive_batch_lockstep(nl, 0x64646464, 10, SettleMode::Incremental, 4);
 }
 
 // ---------------------------------------------------------------------
@@ -321,7 +309,7 @@ TEST(BatchEquiv, DeterministicAtAnyThreadCount) {
 }
 
 TEST(BatchEquiv, SuperlaneParityMatrixOnShippedObjects) {
-  // Randomized K x thread-count matrix over the shipped .obj surface
+  // Randomized thread-count matrix over the shipped .obj surface
   // (counters.obj goes through polymorphic flattening): every batch
   // configuration must reproduce the scalar backend's verdict, grants,
   // vectors and counters exactly, with reset pulses in the stimulus.
@@ -343,7 +331,7 @@ TEST(BatchEquiv, SuperlaneParityMatrixOnShippedObjects) {
     SynthOptions opt;
     opt.clients = 2;
     opt.policy = osss::PolicyKind::RoundRobin;
-    // A lane count that is no multiple of any block width, re-rolled
+    // A lane count that is no multiple of the block width, re-rolled
     // per object so the matrix drifts across runs of the suite's seeds.
     const std::size_t lanes = 65 + rng.below(140);
     EquivOptions scalar{.cycles = 60,
@@ -352,53 +340,20 @@ TEST(BatchEquiv, SuperlaneParityMatrixOnShippedObjects) {
                         .lanes = lanes};
     const EquivResult rs = check_equivalence(d, opt, scalar);
     EXPECT_TRUE(rs.equal) << rs.first_mismatch;
-    for (unsigned super : {1u, 4u, 8u}) {
-      for (unsigned threads : {1u, 3u}) {
-        SCOPED_TRACE("super " + std::to_string(super) + " threads " +
-                     std::to_string(threads) + " lanes " +
-                     std::to_string(lanes));
-        EquivOptions batch = scalar;
-        batch.batch = true;
-        batch.superlanes = super;
-        batch.threads = threads;
-        const EquivResult rb = check_equivalence(d, opt, batch);
-        EXPECT_TRUE(rb.equal) << rb.first_mismatch;
-        expect_same_result(rs, rb);
-        EXPECT_GT(rb.batch_stats.combs_evaluated, 0u);
-        EXPECT_DOUBLE_EQ(rb.batch_scalar_fraction,
-                         rb.batch_stats.scalar_fraction());
-      }
+    for (unsigned threads : {1u, 3u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " lanes " +
+                   std::to_string(lanes));
+      EquivOptions batch = scalar;
+      batch.batch = true;
+      batch.threads = threads;
+      const EquivResult rb = check_equivalence(d, opt, batch);
+      EXPECT_TRUE(rb.equal) << rb.first_mismatch;
+      expect_same_result(rs, rb);
+      EXPECT_GT(rb.batch_stats.combs_evaluated, 0u);
+      EXPECT_DOUBLE_EQ(rb.batch_scalar_fraction,
+                       rb.batch_stats.scalar_fraction());
     }
   }
-}
-
-TEST(BatchEquiv, SuperlaneVerdictsIdenticalToK1UnderTheSameSeed) {
-  // The K determinism statement at the service level: with one root
-  // seed, K=8 produces the same verdict, grant totals, recorded
-  // vectors and failure attribution as K=1 -- lane L's stimulus stream
-  // is a function of lane_seed(seed, L) only, never of the block shape
-  // it ran in.  (Per-lane net values are covered lane-for-lane by
-  // BatchSim.SuperlaneSettleModeParityMatrix against the scalar sim.)
-  const ObjectDesc d = testobj::mailbox();
-  SynthOptions opt;
-  opt.clients = 3;
-  opt.policy = osss::PolicyKind::StaticPriority;
-  std::vector<EquivResult> by_super;
-  for (unsigned super : {1u, 8u}) {
-    EquivOptions eopt{.cycles = 100,
-                      .seed = 0xD0D0,
-                      .reset_percent = 3,
-                      .lanes = 512,
-                      .batch = true,
-                      .superlanes = super};
-    by_super.push_back(check_equivalence(d, opt, eopt));
-  }
-  for (const EquivResult& r : by_super) {
-    EXPECT_TRUE(r.equal) << r.first_mismatch;
-    EXPECT_EQ(r.cycles, 100u * 512u);
-    EXPECT_GT(r.batch_stats.fused_ops, 0u);
-  }
-  expect_same_result(by_super[0], by_super[1]);
 }
 
 TEST(BatchEquiv, ScalarMultiLaneMatchesBatchAndSingleLaneReplay) {
@@ -428,86 +383,24 @@ TEST(BatchEquiv, ScalarMultiLaneMatchesBatchAndSingleLaneReplay) {
   expect_same_result(rm, rb);
 }
 
-// ---------------------------------------------------------------------
-// BatchRunner
-// ---------------------------------------------------------------------
-
-TEST(BatchRunner, BlocksPartitionTheLanePopulation) {
-  EXPECT_EQ(BatchRunner::block_count(1), 1u);
-  EXPECT_EQ(BatchRunner::block_count(64), 1u);
-  EXPECT_EQ(BatchRunner::block_count(65), 2u);
-  EXPECT_EQ(BatchRunner::block_count(200), 4u);
-
-  std::mutex mu;
-  std::vector<std::pair<std::size_t, std::size_t>> seen(
-      BatchRunner::block_count(200));
-  BatchRunner::run(200, 4, 1,
-                   [&](std::size_t block, const BatchRunner::Block& blk) {
-                     std::lock_guard<std::mutex> lock(mu);
-                     seen[block] = {blk.lane0, blk.lanes};
-                   });
-  std::size_t covered = 0;
-  for (std::size_t b = 0; b < seen.size(); ++b) {
-    EXPECT_EQ(seen[b].first, b * 64) << "block " << b;
-    covered += seen[b].second;
-  }
-  EXPECT_EQ(seen.back().second, 200u % 64u);
-  EXPECT_EQ(covered, 200u);
-}
-
-TEST(BatchRunner, SuperlanePartitionCoversEveryLaneExactlyOnce) {
-  // The partition depends only on (lanes, super): full super-wide
-  // blocks, then one tail at the smallest superlane that covers the
-  // rest.  Spot shapes first, then sweep the invariants.
-  auto p = BatchRunner::partition(512, 8);
-  ASSERT_EQ(p.size(), 1u);
-  EXPECT_EQ(p[0].super, 8u);
-  EXPECT_EQ(p[0].lanes, 512u);
-
-  p = BatchRunner::partition(576, 8);  // 512 + 64
-  ASSERT_EQ(p.size(), 2u);
-  EXPECT_EQ(p[0].super, 8u);
-  EXPECT_EQ(p[1].super, 1u);  // 64-lane tail never pays for idle words
-  EXPECT_EQ(p[1].lane0, 512u);
-
-  p = BatchRunner::partition(64, 8);
-  ASSERT_EQ(p.size(), 1u);
-  EXPECT_EQ(p[0].super, 1u);
-
-  p = BatchRunner::partition(130, 8);
-  ASSERT_EQ(p.size(), 1u);
-  EXPECT_EQ(p[0].super, 4u);
-
-  for (unsigned super : {1u, 4u, 8u}) {
-    for (std::size_t lanes : {1u, 63u, 64u, 65u, 130u, 256u, 300u, 512u,
-                              577u, 1000u}) {
-      SCOPED_TRACE("super " + std::to_string(super) + " lanes " +
-                   std::to_string(lanes));
-      std::size_t next = 0;
-      for (const auto& b : BatchRunner::partition(lanes, super)) {
-        EXPECT_EQ(b.lane0, next);
-        EXPECT_GE(b.lanes, 1u);
-        EXPECT_LE(b.lanes, std::size_t{b.super} * 64);
-        EXPECT_LE(b.super, super);
-        next = b.lane0 + b.lanes;
-      }
-      EXPECT_EQ(next, lanes);
-    }
-  }
-}
-
-TEST(BatchRunner, PropagatesTheLowestBlockError) {
+TEST(BatchEquiv, OnlyTheSingleRowWidthIsAccepted) {
+  // The superlane factor survives only as a compatibility parameter:
+  // 1 is the one row width, anything else is refused up front.
+  const ObjectDesc d = testobj::mailbox();
+  SynthOptions opt;
+  opt.clients = 2;
+  const Netlist nl = synthesize(d, opt);
+  EXPECT_NO_THROW(BatchNetlistSim(nl, 1));
+  EXPECT_THROW(BatchNetlistSim(nl, 4), Error);
+  EquivOptions eopt{.cycles = 10, .lanes = 64, .batch = true,
+                    .superlanes = 8};
   try {
-    BatchRunner::run(200, 3, 1,
-                     [&](std::size_t block, const BatchRunner::Block&) {
-                       if (block >= 1) {
-                         throw std::runtime_error("block " +
-                                                  std::to_string(block));
-                       }
-                     });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "block 1");
+    check_equivalence(d, opt, eopt);
+    FAIL() << "expected superlanes = 8 to be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("superlanes = 1"),
+              std::string::npos)
+        << e.what();
   }
 }
 

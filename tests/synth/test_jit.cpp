@@ -4,9 +4,9 @@
 // simulation whose combs run as native code must be indistinguishable,
 // net for net and cycle for cycle, from the interpreted tape -- across
 // random netlists (including Mul and data-dependent shifts, which deopt
-// per comb), every scalar settle mode, every superlane factor
-// K in {1, 4, 8}, the shipped CLI objects, the lowered monitor
-// automata, reset pulses, and any worker thread count.  On hosts where
+// per comb), every scalar settle mode, the 64-lane batch engine, the
+// shipped CLI objects, the lowered monitor automata, reset pulses, and
+// any worker thread count.  On hosts where
 // host_supported() is false (non-x86-64, or HLCS_JIT=OFF builds) the
 // JIT request is a silent no-op and these suites degenerate into
 // interpreter-vs-interpreter checks that must still pass.
@@ -215,10 +215,10 @@ TEST(TapeJitScalar, RtlModuleRunsInJitMode) {
 /// scalar reference per lane with identical stimulus; require
 /// three-way bit identity on every net of every lane.
 void drive_batch_jit_lockstep(const Netlist& nl, std::uint64_t seed,
-                              int edges, unsigned super) {
-  BatchNetlistSim jit(nl, super, /*jit=*/true);
-  BatchNetlistSim interp(nl, super, /*jit=*/false);
-  const std::size_t lanes = jit.lanes();
+                              int edges) {
+  BatchNetlistSim jit(nl, 1, /*jit=*/true);
+  BatchNetlistSim interp(nl, 1, /*jit=*/false);
+  const std::size_t lanes = BatchNetlistSim::kLanes;
   std::vector<std::unique_ptr<NetlistSim>> refs;
   std::vector<sim::Xorshift> rngs;
   refs.reserve(lanes);
@@ -233,12 +233,10 @@ void drive_batch_jit_lockstep(const Netlist& nl, std::uint64_t seed,
       for (std::size_t lane = 0; lane < lanes; ++lane) {
         ASSERT_EQ(jit.get(n, lane), interp.get(n, lane))
             << "jit vs interp: net '" << nl.nets()[n].name << "' lane "
-            << lane << " (" << phase << ", edge " << edge << ", super "
-            << super << ")";
+            << lane << " (" << phase << ", edge " << edge << ")";
         ASSERT_EQ(jit.get(n, lane), refs[lane]->get(n))
             << "jit vs scalar: net '" << nl.nets()[n].name << "' lane "
-            << lane << " (" << phase << ", edge " << edge << ", super "
-            << super << ")";
+            << lane << " (" << phase << ", edge " << edge << ")";
       }
     }
   };
@@ -269,14 +267,10 @@ void drive_batch_jit_lockstep(const Netlist& nl, std::uint64_t seed,
 }
 
 TEST(TapeJitBatch, SuperlaneParityMatrixOnRandomNetlists) {
-  for (unsigned super : {1u, 4u, 8u}) {
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      SCOPED_TRACE("super " + std::to_string(super) + " seed " +
-                   std::to_string(seed));
-      Netlist nl = make_random_netlist(0x7A6B17 + seed * 31 + super);
-      drive_batch_jit_lockstep(nl, seed * 0x5EED + super,
-                               super == 8 ? 5 : 8, super);
-    }
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Netlist nl = make_random_netlist(0x7A6B17 + seed * 31 + 1);
+    drive_batch_jit_lockstep(nl, seed * 0x5EED + 1, 8);
   }
 }
 
@@ -286,36 +280,34 @@ TEST(TapeJitBatch, StatsAccountingMatchesInterpreter) {
   // interpreter's exactly: same evaluation counts, same fused-op and
   // plane-instruction totals for whatever stayed interpreted.
   const Netlist nl = make_random_netlist(0xACC7);
-  for (unsigned super : {1u, 4u}) {
-    BatchNetlistSim jit(nl, super, true);
-    BatchNetlistSim interp(nl, super, false);
-    sim::Xorshift rng(0x57A75);
-    for (int e = 0; e < 10; ++e) {
-      for (NetId in : nl.inputs()) {
-        const std::uint64_t v = rng.next();
-        for (std::size_t lane = 0; lane < jit.lanes(); ++lane) {
-          jit.set_input(in, lane, v);
-          interp.set_input(in, lane, v);
-        }
+  BatchNetlistSim jit(nl, 1, true);
+  BatchNetlistSim interp(nl, 1, false);
+  sim::Xorshift rng(0x57A75);
+  for (int e = 0; e < 10; ++e) {
+    for (NetId in : nl.inputs()) {
+      const std::uint64_t v = rng.next();
+      for (std::size_t lane = 0; lane < BatchNetlistSim::kLanes; ++lane) {
+        jit.set_input(in, lane, v);
+        interp.set_input(in, lane, v);
       }
-      jit.clock_edge();
-      interp.clock_edge();
     }
-    const BatchStats& a = jit.stats();
-    const BatchStats& b = interp.stats();
-    EXPECT_EQ(a.settles, b.settles);
-    EXPECT_EQ(a.edges, b.edges);
-    EXPECT_EQ(a.combs_evaluated, b.combs_evaluated);
-    EXPECT_EQ(a.combs_scalar, b.combs_scalar);
-    EXPECT_EQ(a.scalar_lane_evals, b.scalar_lane_evals);
-    if (jit.jit_stats() != nullptr) {
-      // Native combs don't execute plane instructions; whatever the
-      // interpreter ran must be >= what the JIT left interpreted.
-      EXPECT_LE(a.plane_instructions, b.plane_instructions);
-      EXPECT_GT(jit.jit_stats()->native_calls, 0u);
-    } else {
-      EXPECT_EQ(a.plane_instructions, b.plane_instructions);
-    }
+    jit.clock_edge();
+    interp.clock_edge();
+  }
+  const BatchStats& a = jit.stats();
+  const BatchStats& b = interp.stats();
+  EXPECT_EQ(a.settles, b.settles);
+  EXPECT_EQ(a.edges, b.edges);
+  EXPECT_EQ(a.combs_evaluated, b.combs_evaluated);
+  EXPECT_EQ(a.combs_scalar, b.combs_scalar);
+  EXPECT_EQ(a.scalar_lane_evals, b.scalar_lane_evals);
+  if (jit.jit_stats() != nullptr) {
+    // Native combs don't execute plane instructions; whatever the
+    // interpreter ran must be >= what the JIT left interpreted.
+    EXPECT_LE(a.plane_instructions, b.plane_instructions);
+    EXPECT_GT(jit.jit_stats()->native_calls, 0u);
+  } else {
+    EXPECT_EQ(a.plane_instructions, b.plane_instructions);
   }
 }
 
@@ -336,7 +328,7 @@ TEST(TapeJitMonitor, LoweredPropertyPacksBitIdentical) {
       SCOPED_TRACE(to_string(mode));
       drive_scalar_lockstep(nl, 0x1107 + pack, 48, mode);
     }
-    drive_batch_jit_lockstep(nl, 0x2207 + pack, 6, 1);
+    drive_batch_jit_lockstep(nl, 0x2207 + pack, 6);
   }
 }
 
@@ -389,30 +381,26 @@ TEST(TapeJitEquiv, ShippedObjectsVerdictsBitIdentical) {
                         .lanes = 64};
     const EquivResult rs = check_equivalence(d, opt, scalar);
     EXPECT_TRUE(rs.equal) << rs.first_mismatch;
-    for (unsigned super : {1u, 8u}) {
-      SCOPED_TRACE("super " + std::to_string(super));
-      EquivOptions interp = scalar;
-      interp.batch = true;
-      interp.superlanes = super;
-      EquivOptions jit = interp;
-      jit.jit = true;
-      const EquivResult ri = check_equivalence(d, opt, interp);
-      const EquivResult rj = check_equivalence(d, opt, jit);
-      EXPECT_TRUE(ri.equal) << ri.first_mismatch;
-      EXPECT_TRUE(rj.equal) << rj.first_mismatch;
-      expect_same_result(rs, ri);
-      expect_same_result(rs, rj);
-      EXPECT_EQ(rj.jit_stats.enabled, BatchJit::host_supported());
-      if (rj.jit_stats.enabled) {
-        EXPECT_GT(rj.jit_stats.native_calls, 0u);
-        EXPECT_GT(rj.jit_stats.code_bytes, 0u);
-      }
+    EquivOptions interp = scalar;
+    interp.batch = true;
+    EquivOptions jit = interp;
+    jit.jit = true;
+    const EquivResult ri = check_equivalence(d, opt, interp);
+    const EquivResult rj = check_equivalence(d, opt, jit);
+    EXPECT_TRUE(ri.equal) << ri.first_mismatch;
+    EXPECT_TRUE(rj.equal) << rj.first_mismatch;
+    expect_same_result(rs, ri);
+    expect_same_result(rs, rj);
+    EXPECT_EQ(rj.jit_stats.enabled, BatchJit::host_supported());
+    if (rj.jit_stats.enabled) {
+      EXPECT_GT(rj.jit_stats.native_calls, 0u);
+      EXPECT_GT(rj.jit_stats.code_bytes, 0u);
     }
   }
 }
 
 TEST(TapeJitEquiv, DeterministicAtAnyThreadCount) {
-  // 130 lanes = three superlane blocks claimed in racy order; the JIT
+  // 130 lanes = three 64-lane blocks claimed in racy order; the JIT
   // backend must be invariant to who compiled and ran what.
   const ObjectDesc d = testobj::mailbox();
   SynthOptions opt;

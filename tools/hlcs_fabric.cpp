@@ -14,6 +14,7 @@
 #include <cstring>
 #include <string>
 
+#include "cli_number.hpp"
 #include "hlcs/fabric/fabric.hpp"
 
 using namespace hlcs;
@@ -72,28 +73,28 @@ bool parse(int argc, char** argv, Args& a) {
         return false;
       }
     } else if (opt == "--segments") {
-      a.cfg.segments = std::strtoull(value(), nullptr, 0);
+      a.cfg.segments = cli::parse_number(opt.c_str(), value(), 0);
     } else if (opt == "--masters") {
-      a.cfg.masters = std::strtoull(value(), nullptr, 0);
+      a.cfg.masters = cli::parse_number(opt.c_str(), value(), 0);
     } else if (opt == "--targets") {
-      a.cfg.targets = std::strtoull(value(), nullptr, 0);
+      a.cfg.targets = cli::parse_number(opt.c_str(), value(), 0);
     } else if (opt == "--shards") {
-      a.cfg.shards = std::strtoull(value(), nullptr, 0);
+      a.cfg.shards = cli::parse_number(opt.c_str(), value(), 0);
     } else if (opt == "--threads") {
-      a.cfg.threads = static_cast<unsigned>(std::strtoul(value(), nullptr, 0));
+      a.cfg.threads = cli::parse_number<unsigned>(opt.c_str(), value(), 0);
     } else if (opt == "--ops") {
-      a.cfg.app_ops = std::strtoull(value(), nullptr, 0);
+      a.cfg.app_ops = cli::parse_number(opt.c_str(), value(), 0);
     } else if (opt == "--blocks") {
-      a.cfg.blocks = std::strtoull(value(), nullptr, 0);
+      a.cfg.blocks = cli::parse_number(opt.c_str(), value(), 0);
     } else if (opt == "--words") {
-      a.cfg.words = std::strtoull(value(), nullptr, 0);
+      a.cfg.words = cli::parse_number(opt.c_str(), value(), 0);
     } else if (opt == "--latency") {
       a.cfg.bridge_latency =
-          sim::Time::ps(std::strtoull(value(), nullptr, 0));
+          sim::Time::ps(cli::parse_number(opt.c_str(), value(), 0));
     } else if (opt == "--run") {
-      a.run_us = std::strtoull(value(), nullptr, 0);
+      a.run_us = cli::parse_number(opt.c_str(), value(), 0);
     } else if (opt == "--seed") {
-      a.cfg.seed = std::strtoull(value(), nullptr, 0);
+      a.cfg.seed = cli::parse_number(opt.c_str(), value(), 0);
     } else if (opt == "--checkers") {
       a.cfg.checkers = true;
     } else if (opt == "--stats") {

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_number.hpp"
 #include "hlcs/osss/osss.hpp"
 #include "hlcs/pattern/pattern.hpp"
 #include "hlcs/sim/sim.hpp"
@@ -119,7 +120,7 @@ synth::ObjectDesc make_equiv_object() {
 
 void run_equiv_point(std::size_t index, std::string& transcript,
                      const synth::ObjectDesc& desc, const SweepConfig& cfg,
-                     std::size_t lanes, unsigned super, bool jit) {
+                     std::size_t lanes, bool jit) {
   using namespace hlcs::synth;
   const std::size_t n_clients = std::size(kClientCounts);
   const PolicyKind policy = kPolicies[index / n_clients];
@@ -132,7 +133,7 @@ void run_equiv_point(std::size_t index, std::string& transcript,
                    .policy = policy},
       EquivOptions{.cycles = cfg.cycles, .seed = 0x5EED0 + index,
                    .reset_percent = 3, .lanes = lanes, .batch = true,
-                   .superlanes = super, .jit = jit});
+                   .jit = jit});
   char line[160];
   std::snprintf(line, sizeof(line),
                 "%-15s clients=%-3d equiv=%s lanes=%zu cycles=%zu "
@@ -218,7 +219,6 @@ int main(int argc, char** argv) {
   bool equiv_mode = false;
   bool lt_mode = false;
   std::size_t equiv_lanes = 64;
-  unsigned equiv_super = 1;
   bool equiv_jit = false;
   SweepConfig cfg;
   for (int i = 1; i < argc; ++i) {
@@ -228,49 +228,23 @@ int main(int argc, char** argv) {
       if (i + 1 < argc && argv[i + 1][0] != '\0' &&
           std::strspn(argv[i + 1], "0123456789") ==
               std::strlen(argv[i + 1])) {
-        equiv_lanes = static_cast<std::size_t>(std::strtoul(argv[++i],
-                                                            nullptr, 10));
+        equiv_lanes = cli::parse_number<std::size_t>("--equiv", argv[++i]);
       }
-    } else if (!std::strcmp(argv[i], "--super") && i + 1 < argc) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' ||
-          (v != 0 && v != 1 && v != 4 && v != 8)) {
-        std::fprintf(stderr,
-                     "error: --super expects 1, 4, 8 or 0 (auto), got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      equiv_super = static_cast<unsigned>(v);
     } else if (!std::strcmp(argv[i], "--jit")) {
       equiv_jit = true;  // --equiv blocks run the native tape JIT
     } else if (!std::strcmp(argv[i], "--lt")) {
       lt_mode = true;
     } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        std::fprintf(stderr, "error: --threads expects a number, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      threads = static_cast<unsigned>(v);
+      threads = cli::parse_number<unsigned>("--threads", argv[++i]);
     } else if (!std::strcmp(argv[i], "--cycles") && i + 1 < argc) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        std::fprintf(stderr, "error: --cycles expects a number, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      cfg.cycles = static_cast<std::uint64_t>(v);
+      cfg.cycles = cli::parse_number("--cycles", argv[++i]);
       cfg.cycles_set = true;
     } else if (!std::strcmp(argv[i], "--verify")) {
       verify = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--threads N] [--cycles N] [--verify] "
-                   "[--equiv [lanes]] [--super K] [--jit] [--lt]\n",
+                   "[--equiv [lanes]] [--jit] [--lt]\n",
                    argv[0]);
       return 2;
     }
@@ -320,8 +294,7 @@ int main(int argc, char** argv) {
     const synth::ObjectDesc desc = make_equiv_object();
     std::vector<std::string> lines(points);
     sim::parallel_for_indexed(points, threads, [&](std::size_t i) {
-      run_equiv_point(i, lines[i], desc, cfg, equiv_lanes, equiv_super,
-                      equiv_jit);
+      run_equiv_point(i, lines[i], desc, cfg, equiv_lanes, equiv_jit);
     });
     bool all_pass = true;
     for (const std::string& l : lines) {
@@ -331,8 +304,7 @@ int main(int argc, char** argv) {
     if (verify) {
       std::vector<std::string> serial(points);
       sim::parallel_for_indexed(points, 1, [&](std::size_t i) {
-        run_equiv_point(i, serial[i], desc, cfg, equiv_lanes, equiv_super,
-                        equiv_jit);
+        run_equiv_point(i, serial[i], desc, cfg, equiv_lanes, equiv_jit);
       });
       for (std::size_t i = 0; i < points; ++i) {
         if (serial[i] != lines[i]) {

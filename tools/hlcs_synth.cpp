@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 
+#include "cli_number.hpp"
 #include "hlcs/check/check.hpp"
 #include "hlcs/osss/osss.hpp"
 #include "hlcs/pattern/pattern.hpp"
@@ -41,25 +42,19 @@ int usage(const char* argv0) {
                "  --seed S           stimulus seed for --check\n"
                "  --equiv-batch [L]  run the check as L independently seeded "
                "lanes (default 64)\n"
-               "                     on the bit-parallel engine (K*64 lanes "
+               "                     on the bit-parallel engine (64 lanes "
                "per tape\n"
                "                     instruction); individual nets are limited "
                "to 64 bits\n"
                "                     (one bit-plane row per bit)\n"
-               "  --equiv-super K    superlane factor for --equiv-batch: 1, 4 "
-               "or 8 (K*64\n"
-               "                     lanes per instruction), or 0 to match "
-               "the host CPU's\n"
-               "                     SIMD width (default 1)\n"
                "  --equiv-threads N  worker threads for --equiv-batch "
                "(default 1, 0 = all cores)\n"
-               "  --equiv-jit [K]    run the check on the native tape JIT "
+               "  --equiv-jit        run the check on the native tape JIT "
                "(implies\n"
-               "                     --equiv-batch; optional K sets "
-               "--equiv-super).\n"
-               "                     Falls back to the interpreter on "
-               "unsupported hosts;\n"
-               "                     verdicts are bit-identical either way\n"
+               "                     --equiv-batch).  Falls back to the "
+               "interpreter on\n"
+               "                     unsupported hosts; verdicts are "
+               "bit-identical either way\n"
                "  --stats            print batch engine counters (fused / "
                "scalar-fallback\n"
                "                     ops, per-opcode fusion hits) and, with "
@@ -209,6 +204,7 @@ int run_equiv_lt(std::size_t transactions, std::uint64_t seed,
 
 int main(int argc, char** argv) {
   using namespace hlcs::synth;
+  using hlcs::cli::parse_number;
   if (argc < 2) return usage(argv[0]);
 
   std::string input;
@@ -221,7 +217,6 @@ int main(int argc, char** argv) {
   std::size_t equiv_lanes = 1;
   bool equiv_batch = false;
   unsigned equiv_threads = 1;
-  unsigned equiv_super = 1;
   bool equiv_jit = false;
   bool equiv_lt = false;
   std::size_t equiv_lt_txns = 40;
@@ -240,7 +235,8 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--clients") {
-      opt.clients = static_cast<std::size_t>(std::stoul(next("count")));
+      opt.clients = parse_number<std::size_t>("--clients",
+                                              next("count").c_str());
     } else if (a == "--policy") {
       try {
         opt.policy = hlcs::osss::parse_policy(next("name"));
@@ -251,9 +247,10 @@ int main(int argc, char** argv) {
     } else if (a == "--optimize") {
       do_optimize = true;
     } else if (a == "--check") {
-      check_cycles = static_cast<std::size_t>(std::stoul(next("cycles")));
+      check_cycles =
+          parse_number<std::size_t>("--check", next("cycles").c_str());
     } else if (a == "--seed") {
-      seed = std::stoull(next("seed"));
+      seed = parse_number("--seed", next("seed").c_str());
     } else if (a == "--equiv-batch") {
       equiv_batch = true;
       equiv_lanes = 64;
@@ -262,27 +259,13 @@ int main(int argc, char** argv) {
       if (i + 1 < argc && argv[i + 1][0] != '\0' &&
           std::strspn(argv[i + 1], "0123456789") ==
               std::strlen(argv[i + 1])) {
-        equiv_lanes = static_cast<std::size_t>(std::stoul(argv[++i]));
+        equiv_lanes = parse_number<std::size_t>("--equiv-batch", argv[++i]);
       }
     } else if (a == "--equiv-jit") {
       equiv_jit = true;
       if (!equiv_batch) {
         equiv_batch = true;
         equiv_lanes = 64;
-      }
-      // Optional superlane factor, same bare-number idiom as
-      // --equiv-batch's lane count.
-      if (i + 1 < argc && argv[i + 1][0] != '\0' &&
-          std::strspn(argv[i + 1], "0123456789") ==
-              std::strlen(argv[i + 1])) {
-        equiv_super = static_cast<unsigned>(std::stoul(argv[++i]));
-        if (equiv_super != 0 && equiv_super != 1 && equiv_super != 4 &&
-            equiv_super != 8) {
-          std::fprintf(stderr,
-                       "--equiv-jit K must be 1, 4, 8 or 0 (auto), got %u\n",
-                       equiv_super);
-          return 2;
-        }
       }
     } else if (a == "--equiv-lt") {
       equiv_lt = true;
@@ -291,19 +274,11 @@ int main(int argc, char** argv) {
       if (i + 1 < argc && argv[i + 1][0] != '\0' &&
           std::strspn(argv[i + 1], "0123456789") ==
               std::strlen(argv[i + 1])) {
-        equiv_lt_txns = static_cast<std::size_t>(std::stoul(argv[++i]));
+        equiv_lt_txns = parse_number<std::size_t>("--equiv-lt", argv[++i]);
       }
     } else if (a == "--equiv-threads") {
-      equiv_threads = static_cast<unsigned>(std::stoul(next("count")));
-    } else if (a == "--equiv-super") {
-      equiv_super = static_cast<unsigned>(std::stoul(next("factor")));
-      if (equiv_super != 0 && equiv_super != 1 && equiv_super != 4 &&
-          equiv_super != 8) {
-        std::fprintf(stderr,
-                     "--equiv-super must be 1, 4, 8 or 0 (auto), got %u\n",
-                     equiv_super);
-        return 2;
-      }
+      equiv_threads =
+          parse_number<unsigned>("--equiv-threads", next("count").c_str());
     } else if (a == "--stats") {
       do_stats = true;
     } else if (a == "-o") {
@@ -443,8 +418,7 @@ int main(int argc, char** argv) {
           desc, opt,
           EquivOptions{.cycles = check_cycles, .seed = seed,
                        .lanes = equiv_lanes, .batch = equiv_batch,
-                       .threads = equiv_threads, .superlanes = equiv_super,
-                       .jit = equiv_jit});
+                       .threads = equiv_threads, .jit = equiv_jit});
       if (!equiv) {
         std::fprintf(stderr, "EQUIVALENCE FAILED: %s\n",
                      equiv.first_mismatch.c_str());
@@ -453,10 +427,8 @@ int main(int argc, char** argv) {
       if (equiv_batch) {
         std::fprintf(stderr,
                      "equivalence PASS: %zu lanes, %zu cycles total, %zu "
-                     "method grants (batch, K=%u, %.1f%% scalar fallback%s)\n",
-                     equiv.lanes, equiv.cycles, equiv.grants,
-                     equiv_super == 0 ? cpu_superlanes() : equiv_super,
-                     100.0 * equiv.batch_scalar_fraction,
+                     "method grants (batch, %.1f%% scalar fallback%s)\n",
+                     equiv.lanes, equiv.cycles, equiv.grants, 100.0 * equiv.batch_scalar_fraction,
                      equiv_jit ? (equiv.jit_stats.enabled
                                       ? ", jit"
                                       : ", jit unavailable")
