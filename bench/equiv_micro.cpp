@@ -6,9 +6,10 @@
 //
 //   BM_BatchEdge   engine-level: random stimulus lanes stepped through
 //                  full clock edges, as 64 independent scalar
-//                  NetlistSims (mode 0 = FullTape, mode 1 =
-//                  Incremental) or one 64-lane BatchNetlistSim
-//                  (mode 2).  policy 0 (static_priority) is
+//                  NetlistSims (mode 1; native code where the host
+//                  compiles it, the incremental engine elsewhere) or
+//                  one 64-lane BatchNetlistSim (mode 2).  policy 0
+//                  (static_priority) is
 //                  the comb-dominated case -- arbitration, guards and
 //                  muxes are all bitwise, so the whole design runs on
 //                  bit-planes; policy 1 (round_robin) carries Add combs
@@ -70,10 +71,11 @@ Netlist make_channel(std::size_t clients, hlcs::osss::PolicyKind policy) {
   return synthesize(make_mailbox(), opt);
 }
 
-/// Benchmark mode arguments: 0/1 are scalar, 2 is the batch
-/// interpreter and 5 the batch JIT.  (Modes 3/4/6/7 were the retired
-/// 256- and 512-lane widths; the survivors keep their numbers so each
-/// row still meets its own baseline.)
+/// Benchmark mode arguments: 1 is the scalar NetlistSim, 2 the batch
+/// interpreter and 5 the batch JIT.  (Mode 0 was the retired scalar
+/// full-tape settle mode and 3/4/6/7 the retired 256- and 512-lane
+/// widths; the survivors keep their numbers so each row still meets its
+/// own baseline.)
 bool mode_batch(long mode) { return mode >= 2; }
 bool mode_jit(long mode) { return mode >= 5; }
 
@@ -95,16 +97,12 @@ void report_batch_counters(benchmark::State& state,
 }
 
 /// Dense random stimulus lanes through full clock edges.
-/// range(0): 0 = scalar FullTape, 1 = scalar Incremental, 2 = batch
-/// interpreter, 5 = batch JIT.  range(1) = clients.  range(2):
-/// 0 = static_priority, 1 = round_robin.  One iteration = 64
-/// lane-edges on every side.
+/// range(0): 1 = scalar, 2 = batch interpreter, 5 = batch JIT.
+/// range(1) = clients.  range(2): 0 = static_priority, 1 = round_robin.
+/// One iteration = 64 lane-edges on every side.
 void BM_BatchEdge(benchmark::State& state) {
   const bool batch = mode_batch(state.range(0));
   const std::size_t lanes = BatchNetlistSim::kLanes;
-  const SettleMode scalar_mode = state.range(0) == 0
-                                     ? SettleMode::FullTape
-                                     : SettleMode::Incremental;
   const std::size_t clients = static_cast<std::size_t>(state.range(1));
   const auto policy = state.range(2) == 0
                           ? hlcs::osss::PolicyKind::StaticPriority
@@ -140,7 +138,7 @@ void BM_BatchEdge(benchmark::State& state) {
   } else {
     std::vector<std::unique_ptr<NetlistSim>> sims;
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      sims.push_back(std::make_unique<NetlistSim>(nl, scalar_mode));
+      sims.push_back(std::make_unique<NetlistSim>(nl));
     }
     for (auto _ : state) {
       for (std::size_t lane = 0; lane < lanes; ++lane) {
@@ -162,11 +160,9 @@ void BM_BatchEdge(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchEdge)
     ->ArgNames({"mode", "clients", "policy"})
-    ->Args({0, 4, 0})
     ->Args({1, 4, 0})
     ->Args({2, 4, 0})
     ->Args({5, 4, 0})
-    ->Args({0, 4, 1})
     ->Args({1, 4, 1})
     ->Args({2, 4, 1})
     ->Args({5, 4, 1});
@@ -192,14 +188,10 @@ hlcs::check::Spec monitor_spec() {
 }
 
 /// Random stimulus lanes through a lowered monitor netlist.
-/// range(0): 0 = scalar FullTape, 1 = scalar Incremental, 2 = batch
-/// interpreter, 5 = batch JIT.
+/// range(0): 1 = scalar, 2 = batch interpreter, 5 = batch JIT.
 void BM_BatchMonitorEdge(benchmark::State& state) {
   const bool batch = mode_batch(state.range(0));
   const std::size_t lanes = BatchNetlistSim::kLanes;
-  const SettleMode scalar_mode = state.range(0) == 0
-                                     ? SettleMode::FullTape
-                                     : SettleMode::Incremental;
   const hlcs::check::Automaton a = hlcs::check::compile(monitor_spec());
   Netlist nl = hlcs::check::lower(a);
   std::vector<NetId> sigs;
@@ -230,7 +222,7 @@ void BM_BatchMonitorEdge(benchmark::State& state) {
   } else {
     std::vector<std::unique_ptr<NetlistSim>> sims;
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      sims.push_back(std::make_unique<NetlistSim>(nl, scalar_mode));
+      sims.push_back(std::make_unique<NetlistSim>(nl));
       sims.back()->set_input(rst, 0);
     }
     for (auto _ : state) {
@@ -251,7 +243,7 @@ void BM_BatchMonitorEdge(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchMonitorEdge)
     ->ArgName("mode")
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(5);
+    ->Arg(1)->Arg(2)->Arg(5);
 
 /// The evaluation engine alone, interleaved A/B: stimulus is driven
 /// once, then every iteration is one full clock edge (full-tape batch

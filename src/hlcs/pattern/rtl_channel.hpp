@@ -27,6 +27,7 @@ namespace hlcs::pattern {
 
 class RtlChannel : public sim::Module {
   struct ClientState {
+    synth::ClientPorts nets;  ///< resolved once in make_port()
     bool req = false;
     std::uint64_t sel = 0;
     std::uint64_t args = 0;
@@ -40,8 +41,10 @@ public:
   /// with at least as many clients as ports created.
   RtlChannel(sim::Kernel& k, std::string name, const synth::Netlist& netlist,
              sim::Clock& clk)
-      : Module(k, std::move(name)), rtl_(netlist) {
-    rtl_.set_input("rst", 0);
+      : Module(k, std::move(name)),
+        rtl_(netlist),
+        rst_(netlist.find("rst")) {
+    rtl_.set_input(rst_, 0);
     sim::MethodProcess& m =
         method("edge", [this] { on_edge(); }, /*initial_trigger=*/false);
     clk.posedge().add_static(m);
@@ -87,8 +90,11 @@ public:
     std::size_t client_ = 0;
   };
 
+  /// Throws if the netlist was synthesised for fewer clients.
   Port make_port() {
-    clients_.push_back(std::make_unique<ClientState>());
+    auto cs = std::make_unique<ClientState>();
+    cs->nets = synth::client_ports(rtl_.netlist(), clients_.size());
+    clients_.push_back(std::move(cs));
     return Port(this, clients_.size() - 1);
   }
 
@@ -104,23 +110,22 @@ public:
 private:
   void on_edge() {
     ++edges_;
-    for (std::size_t c = 0; c < clients_.size(); ++c) {
-      ClientState& cs = *clients_[c];
-      rtl_.set_input(synth::req_port(c), cs.req ? 1 : 0);
-      rtl_.set_input(synth::sel_port(c), cs.sel);
-      rtl_.set_input(synth::args_port(c), cs.args);
+    for (const std::unique_ptr<ClientState>& cs : clients_) {
+      rtl_.set_input(cs->nets.req, cs->req ? 1 : 0);
+      rtl_.set_input(cs->nets.sel, cs->sel);
+      rtl_.set_input(cs->nets.args, cs->args);
     }
     rtl_.settle();
     // Capture combinational grant/ret before latching -- the values a
-    // hardware client samples on this edge.  The grant list is a
-    // persistent scratch buffer so the per-edge hot path never
-    // allocates.
+    // hardware client samples on this edge.  Port nets come resolved
+    // from make_port() and the grant list is a reused scratch buffer,
+    // so an edge allocates only while that buffer first grows.
     granted_.clear();
     for (std::size_t c = 0; c < clients_.size(); ++c) {
       ClientState& cs = *clients_[c];
       if (!cs.req) continue;
-      if (rtl_.get(synth::grant_port(c)) != 0) {
-        cs.ret = rtl_.get(synth::ret_port(c));
+      if (rtl_.get(cs.nets.grant) != 0) {
+        cs.ret = rtl_.get(cs.nets.ret);
         granted_.push_back(c);
       } else {
         cs.waited_cycles++;
@@ -140,7 +145,8 @@ private:
   }
 
   synth::NetlistSim rtl_;
-  std::vector<std::size_t> granted_;  ///< per-edge scratch (no allocation)
+  synth::NetId rst_;
+  std::vector<std::size_t> granted_;  ///< per-edge scratch, reused
   std::vector<std::unique_ptr<ClientState>> clients_;
   std::uint64_t grants_ = 0;
   std::uint64_t edges_ = 0;

@@ -26,6 +26,12 @@ std::string var_port(const ObjectDesc& desc, std::size_t var_index) {
   return "var_" + desc.vars().at(var_index).name;
 }
 
+ClientPorts client_ports(const Netlist& nl, std::size_t client) {
+  return ClientPorts{nl.find(req_port(client)), nl.find(sel_port(client)),
+                     nl.find(args_port(client)), nl.find(grant_port(client)),
+                     nl.find(ret_port(client))};
+}
+
 std::uint64_t pack_args(const MethodDesc& m,
                         const std::vector<std::uint64_t>& args) {
   HLCS_ASSERT(args.size() == m.args.size(), "pack_args: count mismatch");

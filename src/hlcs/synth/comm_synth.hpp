@@ -74,6 +74,13 @@ std::string grant_port(std::size_t client);
 std::string ret_port(std::size_t client);
 std::string var_port(const ObjectDesc& desc, std::size_t var_index);
 
+/// One client's port nets, resolved by name once so per-cycle loops
+/// build no names (Netlist::find throws if there are fewer clients).
+struct ClientPorts {
+  NetId req, sel, args, grant, ret;
+};
+ClientPorts client_ports(const Netlist& nl, std::size_t client);
+
 /// Pack method arguments LSB-first in declaration order.
 std::uint64_t pack_args(const MethodDesc& m,
                         const std::vector<std::uint64_t>& args);

@@ -16,7 +16,7 @@ namespace {
 /// these instead of re-resolving names through Netlist::find.
 struct Ports {
   NetId rst;
-  std::vector<NetId> req, sel, args, grant, ret;
+  std::vector<ClientPorts> clients;
   std::vector<NetId> vars;
 };
 
@@ -24,13 +24,9 @@ Ports resolve_ports(const Netlist& nl, const ObjectDesc& desc,
                     const SynthOptions& opt) {
   Ports p;
   p.rst = nl.find("rst");
-  p.req.reserve(opt.clients);
+  p.clients.reserve(opt.clients);
   for (std::size_t c = 0; c < opt.clients; ++c) {
-    p.req.push_back(nl.find(req_port(c)));
-    p.sel.push_back(nl.find(sel_port(c)));
-    p.args.push_back(nl.find(args_port(c)));
-    p.grant.push_back(nl.find(grant_port(c)));
-    p.ret.push_back(nl.find(ret_port(c)));
+    p.clients.push_back(client_ports(nl, c));
   }
   p.vars.reserve(desc.vars().size());
   for (std::size_t v = 0; v < desc.vars().size(); ++v) {
@@ -144,9 +140,9 @@ LaneOutcome run_scalar_lane(const ObjectDesc& desc, const SynthOptions& opt,
     // --- stimulus ---------------------------------------------------
     const bool rst = stim.advance(eopt, desc.methods().size());
     for (std::size_t c = 0; c < opt.clients; ++c) {
-      rtl.set_input(ports.req[c], stim.in[c].req ? 1 : 0);
-      rtl.set_input(ports.sel[c], stim.in[c].sel);
-      rtl.set_input(ports.args[c], stim.in[c].args);
+      rtl.set_input(ports.clients[c].req, stim.in[c].req ? 1 : 0);
+      rtl.set_input(ports.clients[c].sel, stim.in[c].sel);
+      rtl.set_input(ports.clients[c].args, stim.in[c].args);
     }
     rtl.set_input(ports.rst, rst ? 1 : 0);
     rtl.settle();
@@ -154,7 +150,7 @@ LaneOutcome run_scalar_lane(const ObjectDesc& desc, const SynthOptions& opt,
     // --- compare combinational grants/returns -----------------------
     std::optional<std::size_t> rtl_grant;
     for (std::size_t c = 0; c < opt.clients; ++c) {
-      if (rtl.get(ports.grant[c]) != 0) {
+      if (rtl.get(ports.clients[c].grant) != 0) {
         if (rtl_grant) note_mismatch(out, cycle, "grant not one-hot");
         rtl_grant = c;
       }
@@ -173,8 +169,8 @@ LaneOutcome run_scalar_lane(const ObjectDesc& desc, const SynthOptions& opt,
     if (g.granted) {
       const MethodDesc& m = desc.methods()[stim.in[*g.granted].sel];
       if (m.ret_width > 0) {
-        const std::uint64_t rtl_ret =
-            rtl.get(ports.ret[*g.granted]) & ExprArena::mask(m.ret_width);
+        const std::uint64_t rtl_ret = rtl.get(ports.clients[*g.granted].ret) &
+                                      ExprArena::mask(m.ret_width);
         if (rtl_ret != (g.ret & ExprArena::mask(m.ret_width))) {
           note_mismatch(out, cycle, "return value differs on method " + m.name);
         }
@@ -224,9 +220,9 @@ void run_batch_block(const ObjectDesc& desc, const SynthOptions& opt,
     for (std::size_t i = 0; i < n; ++i) {
       rsts[i] = stims[i].advance(eopt, desc.methods().size()) ? 1 : 0;
       for (std::size_t c = 0; c < opt.clients; ++c) {
-        rtl.set_input(ports.req[c], i, stims[i].in[c].req ? 1 : 0);
-        rtl.set_input(ports.sel[c], i, stims[i].in[c].sel);
-        rtl.set_input(ports.args[c], i, stims[i].in[c].args);
+        rtl.set_input(ports.clients[c].req, i, stims[i].in[c].req ? 1 : 0);
+        rtl.set_input(ports.clients[c].sel, i, stims[i].in[c].sel);
+        rtl.set_input(ports.clients[c].args, i, stims[i].in[c].args);
       }
       rtl.set_input(ports.rst, i, rsts[i]);
     }
@@ -237,7 +233,7 @@ void run_batch_block(const ObjectDesc& desc, const SynthOptions& opt,
       LaneOutcome& out = outs[i];
       std::optional<std::size_t> rtl_grant;
       for (std::size_t c = 0; c < opt.clients; ++c) {
-        if (rtl.get(ports.grant[c], i) != 0) {
+        if (rtl.get(ports.clients[c].grant, i) != 0) {
           if (rtl_grant) note_mismatch(out, cycle, "grant not one-hot");
           rtl_grant = c;
         }
@@ -257,8 +253,9 @@ void run_batch_block(const ObjectDesc& desc, const SynthOptions& opt,
       if (g.granted) {
         const MethodDesc& m = desc.methods()[stims[i].in[*g.granted].sel];
         if (m.ret_width > 0) {
-          const std::uint64_t rtl_ret = rtl.get(ports.ret[*g.granted], i) &
-                                        ExprArena::mask(m.ret_width);
+          const std::uint64_t rtl_ret =
+              rtl.get(ports.clients[*g.granted].ret, i) &
+              ExprArena::mask(m.ret_width);
           if (rtl_ret != (g.ret & ExprArena::mask(m.ret_width))) {
             note_mismatch(out, cycle,
                           "return value differs on method " + m.name);

@@ -10,9 +10,8 @@
 //    compilable combs are concatenated into segment functions, which is
 //    where the win over the interpreter comes from: no dispatch, no
 //    stack traffic, and values that a fused interpreter pair would
-//    re-load stay register-cached across the pair.  It drops into
-//    NetlistSim as SettleMode::Jit (a full-tape mode, like FullTape but
-//    native).
+//    re-load stay register-cached across the pair.  NetlistSim runs
+//    every non-quiescent settle through it wherever it compiles.
 //
 //  * BatchJit lowers the same tape over 64-lane bit-plane rows (the
 //    BatchTape layout, one word per row): every plane-friendly op
@@ -25,8 +24,8 @@
 // the batch engine classifies as scalar -- deopt per comb back to the
 // interpreter, with per-opcode counters; non-x86-64 hosts or HLCS_JIT=OFF
 // builds simply report host_supported() == false and the callers fall
-// back wholesale.  Verdicts are bit-identical to the interpreter in
-// every mode (tests/synth/test_jit.cpp is the matrix).
+// back wholesale.  Values are bit-identical to the interpreters
+// (tests/synth/test_jit.cpp is the matrix).
 #pragma once
 
 #include <array>

@@ -1,13 +1,13 @@
 // Cycle-accurate netlist simulator.
 //
 // NetlistSim is a standalone two-phase evaluator (settle combinational
-// logic, latch registers on clock_edge()) used by the consistency
-// experiments and tests.  Since PR 2 the combinational logic runs on a
-// compile-once bytecode tape (hlcs/synth/tape.hpp) and settling is
-// event-driven: only the cone reachable from nets that actually changed
-// is re-evaluated, drained in topological-level order.  The legacy
-// recursive tree-walk and a full-tape mode are kept selectable for A/B
-// measurement and the bit-identity test suite (docs/PERF.md).
+// logic, latch registers on clock_edge()).  The logic is compiled once
+// to a bytecode tape (hlcs/synth/tape.hpp) and the host picks the
+// engine: native code where TapeJit compiles the tape, otherwise
+// event-driven settling that re-evaluates only the cone of nets that
+// changed, in topological-level order.  Either way a settle with nothing
+// changed evaluates nothing, and values are bit-identical to the
+// tree-walk oracle in tests/synth/reference_sim.hpp (docs/PERF.md).
 //
 // RtlModule wraps a NetlistSim into a kernel Module driven by a Clock
 // with Signal<uint64_t> pins, so synthesised blocks co-simulate with
@@ -32,31 +32,10 @@
 
 namespace hlcs::synth {
 
-/// How settle() evaluates the combinational logic.
-enum class SettleMode : std::uint8_t {
-  Incremental,  ///< event-driven: dirty cone only, in level order (default)
-  FullTape,     ///< every comb, every settle, on the bytecode tape
-  TreeWalk,     ///< every comb via the recursive interpreter (A/B reference)
-  Jit,          ///< every comb, as native code (falls back to FullTape
-                ///< evaluation on hosts without JIT support)
-};
-
-inline const char* to_string(SettleMode m) {
-  switch (m) {
-    case SettleMode::Incremental: return "incremental";
-    case SettleMode::FullTape: return "full_tape";
-    case SettleMode::TreeWalk: return "tree_walk";
-    case SettleMode::Jit: return "jit";
-  }
-  return "?";
-}
-
 class NetlistSim {
 public:
-  explicit NetlistSim(const Netlist& nl,
-                      SettleMode mode = SettleMode::Incremental)
+  explicit NetlistSim(const Netlist& nl)
       : nl_(nl),
-        mode_(mode),
         tape_(TapeProgram::compile(nl)),
         values_(nl.nets().size(), 0),
         stack_(std::max<std::uint32_t>(tape_.max_stack(), 1), 0),
@@ -64,20 +43,22 @@ public:
         latch_(nl.regs().size(), 0),
         dirty_(tape_.combs().size(), 0),
         buckets_(tape_.levels()) {
-    if (mode_ == SettleMode::TreeWalk) order_ = nl.validate_and_order();
-    if (mode_ == SettleMode::Jit && TapeJit::host_supported()) {
+    if (TapeJit::host_supported()) {
       jit_ = std::make_unique<TapeJit>(tape_);
-      if (!jit_->available()) jit_.reset();  // fall back to the tape loop
+      if (!jit_->available()) jit_.reset();  // incremental engine
     }
     reset_state();
   }
+  // The JIT holds a reference to tape_: the object must stay put.
+  NetlistSim(const NetlistSim&) = delete;
+  NetlistSim& operator=(const NetlistSim&) = delete;
 
   /// Latch every register's initial value and settle (fully).
   void reset_state() {
     for (const RegDesc& r : nl_.regs()) values_[r.q] = r.init;
-    full_settle();
     ++stats_.settles;
-    ++stats_.full_settles;
+    stats_.combs_possible += tape_.combs().size();
+    full_settle();
   }
 
   void set_input(NetId n, std::uint64_t v) {
@@ -85,7 +66,7 @@ public:
     if (values_[n] == v) return;
     values_[n] = v;
     ++stats_.input_changes;
-    if (mode_ == SettleMode::Incremental) mark_net(n);
+    mark_net(n);
   }
   void set_input(const std::string& name, std::uint64_t v) {
     set_input(nl_.find(name), v);
@@ -96,16 +77,16 @@ public:
     return values_.at(nl_.find(name));
   }
 
-  /// Propagate combinational logic.  Incremental mode drains the dirty
-  /// worklist level by level; the other modes evaluate every comb.
+  /// Propagate combinational logic.  The native engine re-runs the whole
+  /// tape if anything changed; the incremental engine drains the dirty
+  /// worklist level by level.
   void settle() {
     ++stats_.settles;
-    if (mode_ != SettleMode::Incremental) {
-      full_settle();
-      ++stats_.full_settles;
+    stats_.combs_possible += tape_.combs().size();
+    if (jit_) {
+      if (stale_) full_settle();
       return;
     }
-    stats_.combs_possible += tape_.combs().size();
     if (pending_ == 0) return;
     const std::vector<TapeComb>& combs = tape_.combs();
     for (std::vector<std::uint32_t>& bucket : buckets_) {
@@ -141,7 +122,7 @@ public:
       if (values_[q] == latch_[i]) continue;
       values_[q] = latch_[i];
       ++stats_.reg_changes;
-      if (mode_ == SettleMode::Incremental) mark_net(q);
+      mark_net(q);
     }
     settle();
     ++stats_.edges;
@@ -149,34 +130,26 @@ public:
 
   const Netlist& netlist() const { return nl_; }
   const TapeProgram& tape() const { return tape_; }
-  SettleMode mode() const { return mode_; }
   const NetlistStats& stats() const { return stats_; }
   void reset_stats() { stats_ = NetlistStats{}; }
-  /// Non-null when settles run through the native JIT (SettleMode::Jit
-  /// on a supported host).
+  /// Non-null when settles run as native code on this host.
   const JitStats* jit_stats() const { return jit_ ? &jit_->stats() : nullptr; }
 
 private:
   /// Evaluate every comb in topological order, then discard any pending
   /// dirty state (everything is consistent afterwards).
   void full_settle() {
-    stats_.combs_possible += tape_.combs().size();
+    ++stats_.full_settles;
+    stale_ = false;
     if (jit_) {
       jit_->run_full(values_.data(), stack_.data(), slots_.data(), &stats_);
-    } else if (mode_ == SettleMode::TreeWalk) {
-      const auto& combs = nl_.combs();
-      for (std::size_t ci : order_) {
-        values_[combs[ci].target] =
-            eval(nl_.arena(), combs[ci].value, values_, {});
-        ++stats_.combs_evaluated;
-      }
-    } else {
-      for (const TapeComb& c : tape_.combs()) {
-        values_[c.target] =
-            tape_.run(c, values_.data(), stack_.data(), slots_.data());
-        ++stats_.combs_evaluated;
-        stats_.tape_instructions += c.end - c.begin;
-      }
+      return;
+    }
+    for (const TapeComb& c : tape_.combs()) {
+      values_[c.target] =
+          tape_.run(c, values_.data(), stack_.data(), slots_.data());
+      ++stats_.combs_evaluated;
+      stats_.tape_instructions += c.end - c.begin;
     }
     if (pending_ != 0) {
       for (std::vector<std::uint32_t>& bucket : buckets_) {
@@ -187,7 +160,12 @@ private:
     }
   }
 
+  /// Net `n` took a new value: schedule what the next settle evaluates.
   void mark_net(NetId n) {
+    if (jit_) {
+      stale_ = true;
+      return;
+    }
     const std::uint32_t* it = tape_.fanout_begin(n);
     const std::uint32_t* end = tape_.fanout_end(n);
     for (; it != end; ++it) {
@@ -200,15 +178,14 @@ private:
   }
 
   const Netlist& nl_;
-  SettleMode mode_;
   TapeProgram tape_;
-  std::unique_ptr<TapeJit> jit_;    ///< Jit mode on a supported host
-  std::vector<std::size_t> order_;  ///< TreeWalk mode only
+  std::unique_ptr<TapeJit> jit_;  ///< set when the host runs native code
+  bool stale_ = false;  ///< native: a net changed since the last settle
   std::vector<std::uint64_t> values_;
   std::vector<std::uint64_t> stack_;  ///< tape evaluation stack
   std::vector<std::uint64_t> slots_;  ///< tape CSE slots
   std::vector<std::uint64_t> latch_;  ///< persistent two-phase reg scratch
-  std::vector<std::uint8_t> dirty_;   ///< per comb (topo index)
+  std::vector<std::uint8_t> dirty_;   ///< incremental: per comb (topo index)
   std::vector<std::vector<std::uint32_t>> buckets_;  ///< dirty combs per level
   std::size_t pending_ = 0;
   NetlistStats stats_;
@@ -223,8 +200,8 @@ private:
 class RtlModule : public sim::Module {
 public:
   RtlModule(sim::Kernel& k, std::string name, const Netlist& nl,
-            sim::Clock& clk, SettleMode mode = SettleMode::Incremental)
-      : Module(k, std::move(name)), sim_(nl, mode) {
+            sim::Clock& clk)
+      : Module(k, std::move(name)), sim_(nl) {
     auto build = [&](const std::vector<NetId>& nets, std::vector<Pin>& pins,
                      std::unordered_map<std::string, std::size_t>& index) {
       std::vector<NetId> sorted = nets;

@@ -1,8 +1,10 @@
 // RTL lowering consistency: randomized traces replayed through the
 // behavioural automaton (tree-walk over the property arena) and through
-// the lowered netlist in NetlistSim -- in every settle mode -- must give
-// bit-identical attempt/pass/fail/vacuous verdicts on every edge,
-// including random disable pulses that cancel in-flight attempts.
+// the lowered netlist -- in NetlistSim and in the tree-walk netlist
+// reference -- must give bit-identical attempt/pass/fail/vacuous
+// verdicts on every edge, including random disable pulses that cancel
+// in-flight attempts.  jit_off_suite runs this binary with the JIT
+// compiled out, so both NetlistSim engines are covered.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,6 +14,7 @@
 #include "hlcs/sim/random.hpp"
 #include "hlcs/synth/batch_tape.hpp"
 #include "hlcs/synth/verilog.hpp"
+#include "../synth/reference_sim.hpp"
 
 namespace hlcs::check {
 namespace {
@@ -36,10 +39,12 @@ Spec kitchen_sink() {
 }
 
 /// Drive the lowered netlist the way NetlistMonitor does: inputs + rst,
-/// settle, read verdicts, clock_edge.
+/// settle, read verdicts, clock_edge.  `Sim` is synth::NetlistSim or
+/// the test-only synth::ReferenceSim.
+template <class Sim = synth::NetlistSim>
 struct NlDriver {
   synth::Netlist nl;
-  synth::NetlistSim sim;
+  Sim sim;
   synth::NetId rst;
   std::vector<synth::NetId> sigs;
   struct Outs {
@@ -47,8 +52,8 @@ struct NlDriver {
   };
   std::vector<Outs> outs;
 
-  NlDriver(const Automaton& a, synth::SettleMode mode)
-      : nl(lower(a)), sim(nl, mode), rst(nl.find("rst")) {
+  explicit NlDriver(const Automaton& a)
+      : nl(lower(a)), sim(nl), rst(nl.find("rst")) {
     for (const SignalDecl& sd : a.signals) sigs.push_back(nl.find(sd.name));
     for (const PropertyAutomaton& p : a.props) {
       outs.push_back(Outs{nl.find(p.name + "_attempt"),
@@ -76,10 +81,10 @@ struct NlDriver {
   }
 };
 
-void run_lockstep(const Automaton& a, synth::SettleMode mode,
-                  std::uint64_t seed, int edges) {
+template <class Sim = synth::NetlistSim>
+void run_lockstep(const Automaton& a, std::uint64_t seed, int edges) {
   AutomatonEval ev(a);
-  NlDriver nld(a, mode);
+  NlDriver<Sim> nld(a);
   sim::Xorshift rng(seed);
   std::vector<std::uint64_t> samples(a.signals.size());
   std::vector<AutomatonEval::Verdict> vb, vn;
@@ -97,16 +102,16 @@ void run_lockstep(const Automaton& a, synth::SettleMode mode,
     ASSERT_EQ(vb.size(), vn.size());
     for (std::size_t i = 0; i < vb.size(); ++i) {
       ASSERT_EQ(vb[i].attempt, vn[i].attempt)
-          << to_string(mode) << " seed " << seed << " edge " << t << " prop "
+          << "seed " << seed << " edge " << t << " prop "
           << a.props[i].name;
       ASSERT_EQ(vb[i].pass, vn[i].pass)
-          << to_string(mode) << " seed " << seed << " edge " << t << " prop "
+          << "seed " << seed << " edge " << t << " prop "
           << a.props[i].name;
       ASSERT_EQ(vb[i].fail, vn[i].fail)
-          << to_string(mode) << " seed " << seed << " edge " << t << " prop "
+          << "seed " << seed << " edge " << t << " prop "
           << a.props[i].name;
       ASSERT_EQ(vb[i].vacuous, vn[i].vacuous)
-          << to_string(mode) << " seed " << seed << " edge " << t << " prop "
+          << "seed " << seed << " edge " << t << " prop "
           << a.props[i].name;
       resolved += vb[i].pass + vb[i].fail;
     }
@@ -116,24 +121,22 @@ void run_lockstep(const Automaton& a, synth::SettleMode mode,
 }
 
 TEST(CheckLowering, LockstepIncremental) {
+  // NetlistSim: native code on JIT hosts, the incremental engine in
+  // jit_off_suite.
   const Automaton a = compile(kitchen_sink());
-  run_lockstep(a, synth::SettleMode::Incremental, 1, 1500);
-}
-
-TEST(CheckLowering, LockstepFullTape) {
-  const Automaton a = compile(kitchen_sink());
-  run_lockstep(a, synth::SettleMode::FullTape, 2, 1500);
+  run_lockstep(a, 1, 1500);
+  run_lockstep(a, 2, 1500);
 }
 
 TEST(CheckLowering, LockstepTreeWalk) {
   const Automaton a = compile(kitchen_sink());
-  run_lockstep(a, synth::SettleMode::TreeWalk, 3, 1500);
+  run_lockstep<synth::ReferenceSim>(a, 3, 1500);
 }
 
 TEST(CheckLowering, LockstepManySeeds) {
   const Automaton a = compile(kitchen_sink());
   for (std::uint64_t seed = 10; seed < 16; ++seed) {
-    run_lockstep(a, synth::SettleMode::Incremental, seed, 400);
+    run_lockstep(a, seed, 400);
   }
 }
 
@@ -210,7 +213,7 @@ TEST(CheckLowering, PciPackLockstep) {
   const Automaton a = compile(
       pci_rules(PciRuleOptions{.arbitration = true, .latency_bound = 6}));
   AutomatonEval ev(a);
-  NlDriver nld(a, synth::SettleMode::Incremental);
+  NlDriver<> nld(a);
   sim::Xorshift rng(42);
   std::vector<std::uint64_t> samples(a.signals.size());
   std::vector<AutomatonEval::Verdict> vb, vn;
@@ -250,7 +253,7 @@ TEST(CheckLowering, ResetInputRestoresInitialState) {
   E a = s.signal("a");
   s.prop("p", a, s.delay(1, a));
   const Automaton au = compile(s);
-  NlDriver nld(au, synth::SettleMode::Incremental);
+  NlDriver<> nld(au);
   std::vector<AutomatonEval::Verdict> v;
   nld.step({1}, false, v);   // attempt in flight
   nld.step({0}, true, v);    // disable: verdicts zero, state back to init

@@ -2,9 +2,10 @@
 //
 // The contract under test is absolute: a BatchNetlistSim lane must be
 // indistinguishable, net for net and cycle for cycle, from a scalar
-// NetlistSim driven with the same stimulus -- across random netlists
-// (including word arithmetic, which takes the per-lane scalar
-// fallback), every scalar settle mode, synthesized objects with reset
+// NetlistSim driven with the same stimulus, and from the tree-walk
+// reference (reference_sim.hpp) -- across random netlists (including
+// word arithmetic, which takes the per-lane scalar fallback),
+// synthesized objects with reset
 // pulses and register feedback, and any worker thread count.
 #include <gtest/gtest.h>
 
@@ -24,25 +25,26 @@
 #include "hlcs/synth/rtl_sim.hpp"
 #include "netlist_gen.hpp"
 #include "objects.hpp"
+#include "reference_sim.hpp"
 
 namespace hlcs::synth {
 namespace {
 
 constexpr std::size_t kLanes = BatchNetlistSim::kLanes;
 
-/// Drive the batch sim and one scalar reference sim per lane with
-/// identical per-lane random stimulus and require bit identity on every
-/// net of every lane after every settle and edge: batch lane L equals
-/// the scalar engine seeded for lane L.
-void drive_batch_lockstep(const Netlist& nl, std::uint64_t seed, int edges,
-                          SettleMode ref_mode) {
+/// Drive the batch sim and one scalar `Ref` (NetlistSim or
+/// ReferenceSim) per lane with identical per-lane random stimulus and
+/// require bit identity on every net of every lane after every settle
+/// and edge: batch lane L equals the scalar sim seeded for lane L.
+template <class Ref>
+void drive_batch_lockstep(const Netlist& nl, std::uint64_t seed, int edges) {
   BatchNetlistSim batch(nl);
   const std::size_t lanes = kLanes;
-  std::vector<std::unique_ptr<NetlistSim>> refs;
+  std::vector<std::unique_ptr<Ref>> refs;
   std::vector<sim::Xorshift> rngs;
   refs.reserve(lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    refs.push_back(std::make_unique<NetlistSim>(nl, ref_mode));
+    refs.push_back(std::make_unique<Ref>(nl));
     rngs.emplace_back(sim::lane_seed(seed, lane));
   }
   const std::vector<NetId>& ins = nl.inputs();
@@ -52,8 +54,7 @@ void drive_batch_lockstep(const Netlist& nl, std::uint64_t seed, int edges,
       for (std::size_t lane = 0; lane < lanes; ++lane) {
         ASSERT_EQ(batch.get(n, lane), refs[lane]->get(n))
             << "net '" << nl.nets()[n].name << "' lane " << lane << " ("
-            << phase << ", edge " << edge << ", ref " << to_string(ref_mode)
-            << ")";
+            << phase << ", edge " << edge << ")";
       }
     }
   };
@@ -86,31 +87,24 @@ TEST(BatchSim, RandomNetlistsMatchScalarOnAllLanes) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("netlist seed " + std::to_string(seed));
     Netlist nl = make_random_netlist(seed * 0xB17C0DE + 5);
-    drive_batch_lockstep(nl, seed * 0x51357, 24, SettleMode::Incremental);
+    drive_batch_lockstep<NetlistSim>(nl, seed * 0x51357, 24);
   }
 }
 
-TEST(BatchSim, AgreesWithEveryScalarSettleMode) {
+TEST(BatchSim, AgreesWithTheReferenceSim) {
   Netlist nl = make_random_netlist(0xD15EA5E);
-  for (SettleMode mode : {SettleMode::Incremental, SettleMode::FullTape,
-                          SettleMode::TreeWalk}) {
-    SCOPED_TRACE(to_string(mode));
-    drive_batch_lockstep(nl, 0xCAFE, 16, mode);
-  }
+  drive_batch_lockstep<ReferenceSim>(nl, 0xCAFE, 16);
 }
 
-TEST(BatchSim, SuperlaneSettleModeParityMatrix) {
-  // Settle-mode matrix over a randomized netlist: every lane must match
-  // its own scalar reference, in every scalar settle mode.  The
-  // generator mixes word arithmetic in, so the scalar fallback
+TEST(BatchSim, ParityWithScalarAndReference) {
+  // Parity over a randomized netlist: every lane must match its own
+  // scalar NetlistSim and its own tree-walk reference.  The generator
+  // mixes word arithmetic in, so the scalar fallback
   // (gather/exec/scatter over the 64 lanes) is exercised too, not just
   // the row loops.
   Netlist nl = make_random_netlist(0x5AFE + 1);
-  for (SettleMode mode : {SettleMode::Incremental, SettleMode::FullTape,
-                          SettleMode::TreeWalk}) {
-    SCOPED_TRACE(to_string(mode));
-    drive_batch_lockstep(nl, 0x9E3779B9, 10, mode);
-  }
+  drive_batch_lockstep<NetlistSim>(nl, 0x9E3779B9, 10);
+  drive_batch_lockstep<ReferenceSim>(nl, 0x9E3779B9, 10);
 }
 
 TEST(BatchSim, FusionCountersAreObservableAndConsistent) {
@@ -183,7 +177,7 @@ TEST(BatchSim, Width64Boundary) {
   nl.mark_output(r);
   nl.mark_output(cat);
   nl.validate_and_order();
-  drive_batch_lockstep(nl, 0x64646464, 20, SettleMode::Incremental);
+  drive_batch_lockstep<NetlistSim>(nl, 0x64646464, 20);
 }
 
 // ---------------------------------------------------------------------

@@ -1,15 +1,17 @@
-// Native tape JIT: bit-identity against the interpreter, everywhere.
+// Native tape JIT: bit-identity against the interpreters, everywhere.
 //
 // The contract is the same absolute one the batch engine carries: a
 // simulation whose combs run as native code must be indistinguishable,
-// net for net and cycle for cycle, from the interpreted tape -- across
-// random netlists (including Mul and data-dependent shifts, which deopt
-// per comb), every scalar settle mode, the 64-lane batch engine, the
-// shipped CLI objects, the lowered monitor automata, reset pulses, and
-// any worker thread count.  On hosts where
-// host_supported() is false (non-x86-64, or HLCS_JIT=OFF builds) the
-// JIT request is a silent no-op and these suites degenerate into
-// interpreter-vs-interpreter checks that must still pass.
+// net for net and cycle for cycle, from the tree-walk reference
+// (reference_sim.hpp) and the interpreted tape -- across random
+// netlists (including Mul and data-dependent shifts, which deopt per
+// comb), the 64-lane batch engine, the shipped CLI objects, the lowered
+// monitor automata, reset pulses, and any worker thread count.  The
+// scalar NetlistSim runs native code whenever the host compiles it; on
+// hosts where host_supported() is false (non-x86-64, or HLCS_JIT=OFF
+// builds) it runs its incremental interpreter, the batch JIT request is
+// a silent no-op, and these suites degenerate into interpreter-vs-
+// reference checks that must still pass.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -21,6 +23,7 @@
 
 #include "hlcs/check/object_rules.hpp"
 #include "hlcs/check/pci_rules.hpp"
+#include "hlcs/sim/clock.hpp"
 #include "hlcs/sim/random.hpp"
 #include "hlcs/synth/batch_tape.hpp"
 #include "hlcs/synth/equiv.hpp"
@@ -30,81 +33,85 @@
 #include "hlcs/synth/rtl_sim.hpp"
 #include "netlist_gen.hpp"
 #include "objects.hpp"
+#include "reference_sim.hpp"
 
 namespace hlcs::synth {
 namespace {
 
+using namespace hlcs::sim::literals;
+
 // ---------------------------------------------------------------------
-// Scalar JIT vs the interpreted settle modes
+// Scalar NetlistSim (native where the host compiles it) vs the reference
 // ---------------------------------------------------------------------
 
-/// Drive a SettleMode::Jit sim and an interpreted reference in lock
-/// step with identical stimulus and require bit identity on every net
-/// after every settle and edge.
-void drive_scalar_lockstep(const Netlist& nl, std::uint64_t seed, int edges,
-                           SettleMode ref_mode) {
-  NetlistSim jit(nl, SettleMode::Jit);
-  NetlistSim ref(nl, ref_mode);
-  sim::Xorshift rng(seed);
-  const std::vector<NetId>& ins = nl.inputs();
-
-  auto expect_identical = [&](int edge, const char* phase) {
-    for (NetId n = 0; n < nl.nets().size(); ++n) {
-      ASSERT_EQ(jit.get(n), ref.get(n))
-          << "net '" << nl.nets()[n].name << "' (" << phase << ", edge "
-          << edge << ", ref " << to_string(ref_mode) << ")";
-    }
-  };
-
-  for (int e = 0; e < edges; ++e) {
-    for (NetId in : ins) {
-      if (rng.chance(1, 4)) continue;
-      const std::uint64_t v =
-          rng.chance(1, 4) ? ref.get(in) : rng.next();
-      jit.set_input(in, v);
-      ref.set_input(in, v);
-    }
-    if ((e & 3) == 0) {
-      jit.settle();
-      ref.settle();
-      expect_identical(e, "settle");
-    }
-    jit.clock_edge();
-    ref.clock_edge();
-    expect_identical(e, "edge");
+void expect_same_nets(const Netlist& nl, const NetlistSim& sim,
+                      const ReferenceSim& ref, const std::string& where) {
+  for (NetId n = 0; n < nl.nets().size(); ++n) {
+    ASSERT_EQ(sim.get(n), ref.get(n))
+        << "net '" << nl.nets()[n].name << "' (" << where << ")";
   }
 }
 
-TEST(TapeJitScalar, RandomNetlistsMatchEverySettleMode) {
+/// Drive a NetlistSim and the tree-walk reference in lock step with
+/// identical stimulus and require bit identity on every net after every
+/// settle and edge.
+void drive_scalar_lockstep(const Netlist& nl, std::uint64_t seed,
+                           int edges) {
+  NetlistSim sim(nl);
+  ReferenceSim ref(nl);
+  sim::Xorshift rng(seed);
+  for (int e = 0; e < edges; ++e) {
+    for (NetId in : nl.inputs()) {
+      if (rng.chance(1, 4)) continue;
+      const std::uint64_t v = rng.chance(1, 4) ? ref.get(in) : rng.next();
+      sim.set_input(in, v);
+      ref.set_input(in, v);
+    }
+    if ((e & 3) == 0) {
+      sim.settle();
+      ref.settle();
+      expect_same_nets(nl, sim, ref, "settle, edge " + std::to_string(e));
+    }
+    sim.clock_edge();
+    ref.clock_edge();
+    expect_same_nets(nl, sim, ref, "edge " + std::to_string(e));
+  }
+}
+
+TEST(TapeJitScalar, RandomNetlistsMatchTheReference) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE("netlist seed " + std::to_string(seed));
     Netlist nl = make_random_netlist(seed * 0x117C0DE + 3);
-    for (SettleMode mode : {SettleMode::Incremental, SettleMode::FullTape,
-                            SettleMode::TreeWalk}) {
-      SCOPED_TRACE(to_string(mode));
-      drive_scalar_lockstep(nl, seed * 0x2F00D, 24, mode);
-    }
+    drive_scalar_lockstep(nl, seed * 0x2F00D, 24);
   }
 }
 
 TEST(TapeJitScalar, RegistersResetAndLatchIdentically) {
   // Register-heavy synthesized object: init values, feedback, and the
-  // two-phase latch must behave identically through reset_state().
+  // two-phase latch must behave identically through reset_state(),
+  // including a reset out of a state the stimulus moved away from init.
   const ObjectDesc d = testobj::counter();
   SynthOptions opt;
   opt.clients = 3;
   const Netlist nl = synthesize(d, opt);
-  NetlistSim jit(nl, SettleMode::Jit);
-  NetlistSim ref(nl, SettleMode::FullTape);
-  for (NetId n = 0; n < nl.nets().size(); ++n) {
-    ASSERT_EQ(jit.get(n), ref.get(n)) << "after construction, net " << n;
+  NetlistSim sim(nl);
+  ReferenceSim ref(nl);
+  expect_same_nets(nl, sim, ref, "after construction");
+  sim::Xorshift rng(0x2E5E7);
+  for (int e = 0; e < 12; ++e) {
+    for (NetId in : nl.inputs()) {
+      const std::uint64_t v = nl.nets()[in].name == "rst" ? 0 : rng.next();
+      sim.set_input(in, v);
+      ref.set_input(in, v);
+    }
+    sim.clock_edge();
+    ref.clock_edge();
   }
-  jit.reset_state();
+  expect_same_nets(nl, sim, ref, "after 12 edges");
+  sim.reset_state();
   ref.reset_state();
-  for (NetId n = 0; n < nl.nets().size(); ++n) {
-    ASSERT_EQ(jit.get(n), ref.get(n)) << "after reset_state, net " << n;
-  }
-  drive_scalar_lockstep(nl, 0xC0117E4, 40, SettleMode::Incremental);
+  expect_same_nets(nl, sim, ref, "after reset_state");
+  drive_scalar_lockstep(nl, 0xC0117E4, 40);
 }
 
 TEST(TapeJitScalar, StatsReportCompilationAndDeopts) {
@@ -115,7 +122,7 @@ TEST(TapeJitScalar, StatsReportCompilationAndDeopts) {
   bool saw_deopt = false, saw_native = false;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Netlist nl = make_random_netlist(seed * 0xDE0B7 + 1);
-    NetlistSim sim(nl, SettleMode::Jit);
+    NetlistSim sim(nl);
     const JitStats* js = sim.jit_stats();
     if (js == nullptr) continue;  // nothing compilable in this netlist
     EXPECT_TRUE(js->enabled);
@@ -163,12 +170,12 @@ TEST(TapeJitScalar, CrossPageEmissionStaysBitIdentical) {
   }
   g.nl.validate_and_order();
   if (TapeJit::host_supported()) {
-    NetlistSim sim(g.nl, SettleMode::Jit);
+    NetlistSim sim(g.nl);
     const JitStats* js = sim.jit_stats();
     ASSERT_NE(js, nullptr);
     EXPECT_GT(js->code_bytes, 2u * 4096u) << "netlist too small to span pages";
   }
-  drive_scalar_lockstep(g.nl, 0x9A6E5, 8, SettleMode::FullTape);
+  drive_scalar_lockstep(g.nl, 0x9A6E5, 8);
 }
 
 TEST(TapeJitScalar, WriteXorExecuteRoundTrip) {
@@ -196,15 +203,35 @@ TEST(TapeJitScalar, WriteXorExecuteRoundTrip) {
 }
 
 TEST(TapeJitScalar, RtlModuleRunsInJitMode) {
-  // The kernel-integration wrapper accepts a settle mode; a JIT-backed
-  // module and a default module must publish identical pin values.
+  // The kernel-integration wrapper runs native code wherever the host
+  // compiles it, and publishes the pin values the reference computes
+  // from the same sampled inputs.
   const ObjectDesc d = testobj::mailbox();
   SynthOptions opt;
   opt.clients = 2;
   const Netlist nl = synthesize(d, opt);
-  drive_scalar_lockstep(nl, 0x4E7115, 32, SettleMode::Incremental);
-  NetlistSim jit_sim(nl, SettleMode::Jit);
-  EXPECT_EQ(jit_sim.mode(), SettleMode::Jit);
+  sim::Kernel k;
+  sim::Clock clk(k, "clk", 10_ns);
+  RtlModule rtl(k, "dut", nl, clk);
+  EXPECT_EQ(rtl.netlist_sim().jit_stats() != nullptr,
+            TapeJit::host_supported());
+  ReferenceSim ref(nl);
+  sim::Xorshift rng(0x4E7115);
+  for (int e = 0; e < 32; ++e) {
+    // Written now, sampled by the edge inside the next 10 ns.
+    for (const std::string& pin : rtl.input_pins()) {
+      const std::uint64_t v = pin == "rst" ? rng.chance(1, 8) : rng.next();
+      rtl.in(pin).write(v);
+      ref.set_input(pin, v);
+    }
+    k.run_for(10_ns);
+    ref.clock_edge();
+    for (const std::string& pin : rtl.output_pins()) {
+      ASSERT_EQ(rtl.out(pin).read(), ref.get(pin))
+          << "pin " << pin << ", edge " << e;
+    }
+  }
+  EXPECT_EQ(rtl.edges(), 32u);
 }
 
 // ---------------------------------------------------------------------
@@ -212,18 +239,18 @@ TEST(TapeJitScalar, RtlModuleRunsInJitMode) {
 // ---------------------------------------------------------------------
 
 /// Drive a JIT-backed batch sim, an interpreted batch sim, and one
-/// scalar reference per lane with identical stimulus; require
+/// tree-walk reference per lane with identical stimulus; require
 /// three-way bit identity on every net of every lane.
 void drive_batch_jit_lockstep(const Netlist& nl, std::uint64_t seed,
                               int edges) {
   BatchNetlistSim jit(nl, 1, /*jit=*/true);
   BatchNetlistSim interp(nl, 1, /*jit=*/false);
   const std::size_t lanes = BatchNetlistSim::kLanes;
-  std::vector<std::unique_ptr<NetlistSim>> refs;
+  std::vector<std::unique_ptr<ReferenceSim>> refs;
   std::vector<sim::Xorshift> rngs;
   refs.reserve(lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    refs.push_back(std::make_unique<NetlistSim>(nl, SettleMode::FullTape));
+    refs.push_back(std::make_unique<ReferenceSim>(nl));
     rngs.emplace_back(sim::lane_seed(seed, lane));
   }
   const std::vector<NetId>& ins = nl.inputs();
@@ -324,10 +351,7 @@ TEST(TapeJitMonitor, LoweredPropertyPacksBitIdentical) {
     SCOPED_TRACE(pack == 0 ? "pci" : "shared_object");
     const check::Automaton a = check::compile(spec);
     const Netlist nl = check::lower(a);
-    for (SettleMode mode : {SettleMode::Incremental, SettleMode::FullTape}) {
-      SCOPED_TRACE(to_string(mode));
-      drive_scalar_lockstep(nl, 0x1107 + pack, 48, mode);
-    }
+    drive_scalar_lockstep(nl, 0x1107 + pack, 48);
     drive_batch_jit_lockstep(nl, 0x2207 + pack, 6);
   }
 }

@@ -1,14 +1,18 @@
 // Tape engine: structure tests plus the randomized bit-identity suite.
 //
-// The compiled tape + event-driven settle must be indistinguishable from
-// the recursive tree-walking interpreter on every net, every cycle.  The
-// suite generates seeded random netlists (DAG-shaped expressions, shared
-// subtrees, registers, feedback through regs) and random ObjectDescs
-// (synthesised and cross-checked against the ObjectInterp-backed golden
-// model), then drives thousands of edges comparing all three settle
-// modes in lock step.
+// NetlistSim -- native code or the event-driven incremental engine,
+// whichever this host runs -- must be indistinguishable from the
+// recursive tree-walk reference (reference_sim.hpp) on every net, every
+// cycle.  The suite generates seeded random netlists (DAG-shaped
+// expressions, shared subtrees, registers, feedback through regs) and
+// random ObjectDescs (synthesised and cross-checked against the
+// ObjectInterp-backed golden model), then drives thousands of edges
+// comparing the two in lock step.  jit_off_suite runs this binary with
+// the JIT compiled out, so the incremental engine is covered on every
+// host.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "hlcs/sim/random.hpp"
@@ -17,6 +21,7 @@
 #include "hlcs/synth/rtl_sim.hpp"
 #include "hlcs/synth/tape.hpp"
 #include "netlist_gen.hpp"
+#include "reference_sim.hpp"
 
 namespace hlcs::synth {
 namespace {
@@ -24,21 +29,19 @@ namespace {
 // Random netlist generation lives in netlist_gen.hpp (NetlistGen /
 // make_random_netlist), shared with the batch-engine suite.
 
-/// Drive `sims` in lock step with random stimulus and require bit
-/// identity on every net after every settle and every edge.
-void drive_lockstep(const Netlist& nl, std::vector<NetlistSim*> sims,
-                    std::uint64_t seed, int edges) {
+/// Drive a NetlistSim and the reference in lock step with random
+/// stimulus and require bit identity on every net after every settle
+/// and every edge.
+void drive_lockstep(const Netlist& nl, std::uint64_t seed, int edges) {
+  ReferenceSim ref(nl);
+  NetlistSim sim(nl);
   sim::Xorshift rng(seed);
   const std::vector<NetId>& ins = nl.inputs();
   auto expect_identical = [&](int edge, const char* phase) {
     for (NetId n = 0; n < nl.nets().size(); ++n) {
-      const std::uint64_t ref = sims[0]->get(n);
-      for (std::size_t s = 1; s < sims.size(); ++s) {
-        ASSERT_EQ(sims[s]->get(n), ref)
-            << "net '" << nl.nets()[n].name << "' differs (" << phase
-            << ", edge " << edge << ", " << to_string(sims[s]->mode())
-            << " vs " << to_string(sims[0]->mode()) << ")";
-      }
+      ASSERT_EQ(sim.get(n), ref.get(n))
+          << "net '" << nl.nets()[n].name << "' differs (" << phase
+          << ", edge " << edge << ")";
     }
   };
   for (int e = 0; e < edges; ++e) {
@@ -47,18 +50,21 @@ void drive_lockstep(const Netlist& nl, std::vector<NetlistSim*> sims,
       // entirely: the sparse paths must behave exactly like the dense
       // ones.
       if (rng.chance(1, 4)) continue;
-      const std::uint64_t v =
-          rng.chance(1, 4) ? sims[0]->get(in) : rng.next();
-      for (NetlistSim* s : sims) s->set_input(in, v);
+      const std::uint64_t v = rng.chance(1, 4) ? ref.get(in) : rng.next();
+      ref.set_input(in, v);
+      sim.set_input(in, v);
     }
     if (rng.chance(1, 3)) {
-      for (NetlistSim* s : sims) s->settle();
+      ref.settle();
+      sim.settle();
       expect_identical(e, "settle");
     }
-    for (NetlistSim* s : sims) s->clock_edge();
+    ref.clock_edge();
+    sim.clock_edge();
     expect_identical(e, "edge");
   }
 }
+
 
 // ---------------------------------------------------------------------
 // Structure tests
@@ -145,7 +151,11 @@ TEST(Tape, SharedSubtreesCompileToSlots) {
 }
 
 // ---------------------------------------------------------------------
-// Incremental-settle behaviour (NetlistStats)
+// Settle behaviour (NetlistStats).  Values and quiescence are checked on
+// both engines.  The comb counts are engine-specific: the incremental
+// engine re-evaluates only the dirty cone, the native engine the whole
+// tape on every non-quiescent settle.  jit_off_suite runs these tests
+// on the incremental engine on every host.
 // ---------------------------------------------------------------------
 
 TEST(NetlistSimIncremental, QuiescentSettleEvaluatesNothing) {
@@ -188,15 +198,22 @@ TEST(NetlistSimIncremental, SparseInputTouchesOnlyTheCone) {
   const std::uint64_t base = s.stats().combs_evaluated;
   s.set_input(in1, 5);
   s.settle();
-  // Only c is in in1's cone.
-  EXPECT_EQ(s.stats().combs_evaluated, base + 1);
   EXPECT_EQ(s.get(c), 6u);
+  const std::uint64_t in1_cone = s.stats().combs_evaluated - base;
   s.set_input(in0, 1);
   s.settle();
-  EXPECT_EQ(s.stats().combs_evaluated, base + 3);  // a and b
+  EXPECT_EQ(s.get(a), 2u);
   EXPECT_EQ(s.get(b), 3u);
-  EXPECT_GE(s.stats().peak_worklist, 1u);
+  EXPECT_EQ(s.get(c), 6u);
   EXPECT_EQ(s.stats().settles, 3u);  // reset_state + the two above
+  if (s.jit_stats() != nullptr) {
+    EXPECT_EQ(in1_cone, 3u);
+    EXPECT_EQ(s.stats().combs_evaluated, base + 6);
+    return;
+  }
+  EXPECT_EQ(in1_cone, 1u);  // only c is in in1's cone
+  EXPECT_EQ(s.stats().combs_evaluated, base + 3);  // then a and b
+  EXPECT_GE(s.stats().peak_worklist, 1u);
 }
 
 TEST(NetlistSimIncremental, ChangePropagationStopsWhenValueIsStable) {
@@ -217,8 +234,13 @@ TEST(NetlistSimIncremental, ChangePropagationStopsWhenValueIsStable) {
   const std::uint64_t base = s.stats().combs_evaluated;
   s.set_input(in, 0x40);
   s.settle();
-  // a changed, b recomputed but unchanged, c never dirtied.
-  EXPECT_EQ(s.stats().combs_evaluated, base + 2);
+  EXPECT_EQ(s.get(a), 0x41u);
+  EXPECT_EQ(s.get(b), 1u);
+  EXPECT_EQ(s.get(c), 0u);
+  // Incremental: a changed, b recomputed but unchanged, c never
+  // dirtied.  Native: all three.
+  EXPECT_EQ(s.stats().combs_evaluated,
+            base + (s.jit_stats() != nullptr ? 3 : 2));
 }
 
 // ---------------------------------------------------------------------
@@ -227,15 +249,9 @@ TEST(NetlistSimIncremental, ChangePropagationStopsWhenValueIsStable) {
 
 TEST(TapeEquivalence, RandomNetlistsAllModesBitIdentical) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     Netlist nl = make_random_netlist(seed * 0x9E3779B9u);
-    NetlistSim tree(nl, SettleMode::TreeWalk);
-    NetlistSim full(nl, SettleMode::FullTape);
-    NetlistSim incr(nl, SettleMode::Incremental);
-    drive_lockstep(nl, {&tree, &full, &incr}, seed ^ 0xD1CE, 400);
-    // The incremental engine must not have done more comb evaluations
-    // than the full engine (it may do fewer).
-    EXPECT_LE(incr.stats().combs_evaluated, full.stats().combs_evaluated)
-        << "seed " << seed;
+    drive_lockstep(nl, seed ^ 0xD1CE, 400);
   }
 }
 
@@ -243,8 +259,8 @@ TEST(TapeEquivalence, OptimizedRandomNetlistsStayBitIdentical) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Netlist nl = make_random_netlist(seed * 0xABCDu + 17);
     Netlist opt = optimize(nl);
-    NetlistSim ref(nl, SettleMode::TreeWalk);
-    NetlistSim fast(opt, SettleMode::Incremental);
+    ReferenceSim ref(nl);
+    NetlistSim fast(opt);
     sim::Xorshift rng(seed);
     for (int e = 0; e < 300; ++e) {
       for (NetId in : nl.inputs()) {
@@ -268,7 +284,7 @@ TEST(TapeEquivalence, OptimizedRandomNetlistsStayBitIdentical) {
 
 /// Randomized ObjectDesc -> synthesis -> lock-step against the
 /// ObjectInterp-backed golden model (check_equivalence drives the
-/// default incremental NetlistSim).
+/// scalar NetlistSim).
 TEST(TapeEquivalence, RandomObjectsMatchInterpreter) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     sim::Xorshift rng(seed * 77 + 3);
@@ -347,7 +363,7 @@ TEST(TapeEquivalence, RandomObjectsMatchInterpreter) {
 }
 
 /// The real synthesised channel, all policies: thousands of edges of
-/// three-way mode identity under the equivalence stimulus.
+/// identity with the reference.
 TEST(TapeEquivalence, SynthesisedChannelModesBitIdentical) {
   ObjectDesc d("mbox");
   const std::uint32_t full = d.add_var("full", 1, 0);
@@ -368,10 +384,7 @@ TEST(TapeEquivalence, SynthesisedChannelModesBitIdentical) {
     opt.clients = 3;
     opt.policy = policy;
     Netlist nl = synthesize(d, opt);
-    NetlistSim tree(nl, SettleMode::TreeWalk);
-    NetlistSim full_tape(nl, SettleMode::FullTape);
-    NetlistSim incr(nl, SettleMode::Incremental);
-    drive_lockstep(nl, {&tree, &full_tape, &incr}, 0xCAB + (int)policy, 700);
+    drive_lockstep(nl, 0xCAB + (int)policy, 700);
   }
 }
 

@@ -8,7 +8,9 @@
 // Exit status is 0 only when every master finished, every DMA copy
 // verified, and no protocol violations or property failures were seen
 // (and, with --verify, when the sharded run is bit-identical to the
-// serial reference).
+// serial reference).  Bad arguments and configurations the fabric
+// rejects (zero segments, zero link latency, ...) exit 2 with one
+// "error:" line.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -169,15 +171,9 @@ RunResult run_one(const Args& a, std::size_t shards, unsigned threads,
   return r;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Args a;
-  if (!parse(argc, argv, a)) {
-    usage();
-    return 2;
-  }
-
+/// Build, run and (with --verify) re-run the fabric; returns the exit
+/// status.  A well-formed but invalid configuration throws hlcs::Error.
+int run(const Args& a) {
   if (a.dump_topo) {
     fabric::FabricSystem sys(a.cfg);
     std::printf("%s", sys.dump_topology().c_str());
@@ -215,4 +211,20 @@ int main(int argc, char** argv) {
 
   std::printf("%s\n", ok ? "FABRIC PASS" : "FABRIC FAIL");
   return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Args a;
+  if (!parse(argc, argv, a)) {
+    usage();
+    return 2;
+  }
+  try {
+    return run(a);
+  } catch (const hlcs::Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }
